@@ -16,6 +16,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark/: builds against the workspace API, lockfile current, tests pass"
+# The benchmark is its own workspace; nothing above compiles it, so an
+# API change it depends on or a stale benchmark/Cargo.lock shows here.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> chaos invariants under pinned seeds"
 HNI_CHAOS_SEEDS="20260806,1991" cargo test -q -p hni-bench --test chaos
 

@@ -5,9 +5,9 @@ use crate::table::{fmt_bps, Table};
 use hni_analysis::throughput::{predict_tx, predict_tx_with_bubble};
 use hni_atm::VcId;
 use hni_core::engine::HwPartition;
-use hni_core::txsim::{greedy_workload, run_tx, run_tx_instrumented, run_tx_profiled, TxConfig};
+use hni_core::txsim::{greedy_workload, run_tx, run_tx_full, TxConfig};
 use hni_sonet::LineRate;
-use hni_telemetry::{CycleProfiler, Profile, TraceEvent, VecTracer};
+use hni_telemetry::{CycleProfiler, NullProfiler, NullTracer, Profile, TraceEvent, VecTracer};
 
 /// Packet sizes swept (octets).
 pub const SIZES: [usize; 7] = [64, 256, 1024, 4096, 9180, 32768, 65000];
@@ -83,10 +83,11 @@ pub fn canonical_run() -> hni_core::txsim::TxReport {
 pub fn trace_run() -> Vec<TraceEvent> {
     let mut tracer = VecTracer::new();
     let cfg = TxConfig::paper(LineRate::Oc12);
-    run_tx_instrumented(
+    run_tx_full(
         &cfg,
         &greedy_workload(20, 9180, VcId::new(0, 32)),
         &mut tracer,
+        &mut NullProfiler,
     );
     tracer.into_events()
 }
@@ -97,9 +98,10 @@ pub fn trace_run() -> Vec<TraceEvent> {
 pub fn profile_run() -> (Profile, f64) {
     let cfg = TxConfig::paper(LineRate::Oc12);
     let mut prof = CycleProfiler::new();
-    let (r, _) = run_tx_profiled(
+    let r = run_tx_full(
         &cfg,
         &greedy_workload(20, 9180, VcId::new(0, 32)),
+        &mut NullTracer,
         &mut prof,
     );
     (prof.snapshot(r.finished_at), r.goodput_bps)

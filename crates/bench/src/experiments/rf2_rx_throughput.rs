@@ -4,11 +4,11 @@
 use crate::table::{fmt_bps, fmt_pct, Table};
 use hni_aal::AalType;
 use hni_core::engine::HwPartition;
-use hni_core::rxsim::{run_rx, run_rx_instrumented, run_rx_profiled, RxConfig, RxWorkload};
+use hni_core::rxsim::{run_rx, run_rx_full, RxConfig, RxWorkload};
 use hni_host::{DriverCosts, HostCpu, InterruptMode, RxHostModel};
 use hni_sim::{Duration, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{CycleProfiler, Profile, TraceEvent, VecTracer};
+use hni_telemetry::{CycleProfiler, NullProfiler, NullTracer, Profile, TraceEvent, VecTracer};
 
 /// Packet sizes swept (octets).
 pub const SIZES: [usize; 5] = [64, 1024, 4096, 9180, 65000];
@@ -71,7 +71,7 @@ pub fn trace_run() -> Vec<TraceEvent> {
     let mut tracer = VecTracer::new();
     let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 5, 9180, 1.0);
-    run_rx_instrumented(&cfg, &wl, &mut tracer);
+    run_rx_full(&cfg, &wl, &mut tracer, &mut NullProfiler);
     tracer.into_events()
 }
 
@@ -81,7 +81,7 @@ pub fn profile_run() -> (Profile, f64) {
     let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 5, 9180, 1.0);
     let mut prof = CycleProfiler::new();
-    let (r, _) = run_rx_profiled(&cfg, &wl, &mut prof);
+    let r = run_rx_full(&cfg, &wl, &mut NullTracer, &mut prof);
     (prof.snapshot(r.run_end), r.goodput_bps)
 }
 

@@ -6,13 +6,13 @@ use hni_aal::AalType;
 use hni_analysis::latency::unloaded_latency;
 use hni_atm::VcId;
 use hni_core::bus::BusConfig;
-use hni_core::e2esim::{run_e2e, run_e2e_instrumented, run_e2e_profiled};
+use hni_core::e2esim::{run_e2e, run_e2e_full};
 use hni_core::engine::HwPartition;
 use hni_core::rxsim::RxConfig;
 use hni_core::txsim::{greedy_workload, run_tx, TxConfig};
 use hni_sim::Duration;
 use hni_sonet::LineRate;
-use hni_telemetry::{CycleProfiler, Profile, TraceEvent, VecTracer};
+use hni_telemetry::{CycleProfiler, NullProfiler, NullTracer, Profile, TraceEvent, VecTracer};
 
 /// Packet sizes swept.
 pub const SIZES: [usize; 5] = [64, 1024, 9180, 32768, 65000];
@@ -26,12 +26,13 @@ pub const TRACE_LEN: usize = 9180;
 /// per-stage breakdown.
 pub fn trace_run(len: usize) -> Vec<TraceEvent> {
     let mut tracer = VecTracer::new();
-    run_e2e_instrumented(
+    run_e2e_full(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
         &greedy_workload(1, len, VcId::new(0, 32)),
         PROPAGATION,
         &mut tracer,
+        &mut NullProfiler,
     );
     tracer.into_events()
 }
@@ -54,12 +55,13 @@ pub fn canonical_run() -> hni_core::e2esim::E2eReport {
 /// perturb the simulation — the report equals [`canonical_run`]'s.
 pub fn canonical_trace() -> (hni_core::e2esim::E2eReport, Vec<TraceEvent>) {
     let mut tracer = VecTracer::new();
-    let r = run_e2e_instrumented(
+    let r = run_e2e_full(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
         &greedy_workload(20, TRACE_LEN, VcId::new(0, 32)),
         PROPAGATION,
         &mut tracer,
+        &mut NullProfiler,
     );
     (r, tracer.into_events())
 }
@@ -70,11 +72,12 @@ pub fn canonical_trace() -> (hni_core::e2esim::E2eReport, Vec<TraceEvent>) {
 /// and the run's goodput.
 pub fn profile_run() -> (Profile, f64) {
     let mut prof = CycleProfiler::new();
-    let r = run_e2e_profiled(
+    let r = run_e2e_full(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
         &greedy_workload(20, TRACE_LEN, VcId::new(0, 32)),
         PROPAGATION,
+        &mut NullTracer,
         &mut prof,
     );
     (prof.snapshot(r.rx.run_end), r.goodput_bps)

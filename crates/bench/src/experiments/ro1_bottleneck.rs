@@ -24,10 +24,10 @@ use hni_aal::AalType;
 use hni_analysis::throughput::predict_tx;
 use hni_atm::VcId;
 use hni_core::engine::HwPartition;
-use hni_core::rxsim::{run_rx_profiled, RxConfig, RxWorkload};
-use hni_core::txsim::{greedy_workload, run_tx_profiled, TxConfig};
+use hni_core::rxsim::{run_rx_full, RxConfig, RxWorkload};
+use hni_core::txsim::{greedy_workload, run_tx_full, TxConfig};
 use hni_sonet::LineRate;
-use hni_telemetry::{attribute, Attribution, Component, CycleProfiler};
+use hni_telemetry::{attribute, Attribution, Component, CycleProfiler, NullTracer};
 
 /// Engine speeds swept on the receive side (same grid as R-A2).
 pub const MIPS_GRID: [f64; 6] = [12.5, 25.0, 50.0, 100.0, 200.0, 400.0];
@@ -51,9 +51,10 @@ pub fn resource_name(c: Component) -> &'static str {
 pub fn tx_attribution(len: usize, packets: usize) -> Attribution {
     let cfg = TxConfig::paper(LineRate::Oc12);
     let mut prof = CycleProfiler::new();
-    let (r, _) = run_tx_profiled(
+    let r = run_tx_full(
         &cfg,
         &greedy_workload(packets, len, VcId::new(0, 32)),
+        &mut NullTracer,
         &mut prof,
     );
     attribute(&prof.snapshot(r.finished_at), r.goodput_bps)
@@ -72,7 +73,7 @@ pub fn rx_attribution(
     cfg.mips = mips;
     let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, pkts_per_vc, len, 1.0);
     let mut prof = CycleProfiler::new();
-    let (r, _) = run_rx_profiled(&cfg, &wl, &mut prof);
+    let r = run_rx_full(&cfg, &wl, &mut NullTracer, &mut prof);
     attribute(&prof.snapshot(r.run_end), r.goodput_bps)
 }
 

@@ -19,7 +19,7 @@
 
 use crate::table::{fmt_bps, Table};
 use hni_aal::AalType;
-use hni_core::rxsim::{run_rx_faulted, CellArrival, RxConfig, RxPktMeta, RxWorkload};
+use hni_core::rxsim::{run_rx, CellArrival, RxConfig, RxPktMeta, RxWorkload};
 use hni_core::DiscardPolicy;
 use hni_sim::{Duration, FaultPlan, Time};
 use hni_sonet::LineRate;
@@ -114,13 +114,13 @@ fn staggered(n_vcs: usize, pkts_per_vc: usize, len: usize, load: f64) -> RxWorkl
 /// count so every point offers the same total work.
 pub fn measure(loss: f64, n_vcs: usize, pkts_per_vc: usize) -> Point {
     let wl = staggered(n_vcs, pkts_per_vc, FRAME_LEN, 1.0);
-    let plan = if loss > 0.0 {
-        FaultPlan::loss(loss)
-    } else {
-        FaultPlan::NONE
-    };
     let run = |policy: DiscardPolicy| {
-        let (r, _) = run_rx_faulted(&cfg_with(policy), &wl, &plan, SEED);
+        let cfg = RxConfig {
+            link_faults: FaultPlan::loss(loss),
+            link_seed: SEED,
+            ..cfg_with(policy)
+        };
+        let r = run_rx(&cfg, &wl);
         debug_assert!(r.ledger.reconciles(), "{:?}", r.ledger);
         r.goodput_bps
     };

@@ -6,7 +6,7 @@ use crate::engine::HwPartition;
 use crate::rxsim::RxConfig;
 use crate::txsim::TxConfig;
 use hni_aal::AalType;
-use hni_sim::{BusFaultPlan, Duration};
+use hni_sim::{BusFaultPlan, Duration, FaultPlan};
 use hni_sonet::LineRate;
 
 /// Full host-interface configuration: one struct feeds the timing
@@ -105,6 +105,8 @@ impl NicConfig {
             policy: DiscardPolicy::DropTail,
             reassembly_timeout: self.reassembly_timeout,
             bus_faults: BusFaultPlan::NONE,
+            link_faults: FaultPlan::NONE,
+            link_seed: 0,
         }
     }
 }

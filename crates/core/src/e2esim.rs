@@ -13,12 +13,10 @@
 //! frame boundaries (cells ride a continuous slot stream; framing
 //! overhead is already accounted in the slot rate).
 
-use crate::rxsim::{
-    run_rx_faulted_full, run_rx_full, CellArrival, LinkFaults, RxConfig, RxPktMeta, RxWorkload,
-};
-use crate::txsim::{run_tx_full, TxConfig, TxPacket};
+use crate::rxsim::{run_rx_full, CellArrival, RxConfig, RxPktMeta, RxWorkload};
+use crate::txsim::{run_tx_full, CellDeparture, TxConfig, TxPacket};
 use hni_aal::AalType;
-use hni_sim::{Duration, FaultPlan, Summary, Time};
+use hni_sim::{Duration, Summary, Time};
 use hni_telemetry::{HdrHist, NullProfiler, NullTracer, Profiler, TailReservoir, Tracer};
 
 /// End-to-end results.
@@ -63,10 +61,39 @@ pub fn run_e2e(
     )
 }
 
-/// [`run_e2e`] with a tracer observing both pipeline halves on one
-/// shared timeline: receive-side events carry wire-arrival clocks, so a
-/// single trace stream spans descriptor fetch at A through completion
-/// at B (the R-F3 waterfall's raw material).
+/// [`run_e2e`] with probes attached to both pipeline halves on one
+/// shared clock. Receive-side trace events carry wire-arrival clocks, so
+/// a single stream spans descriptor fetch at A through completion at B
+/// (the R-F3 waterfall's raw material). The transmit adaptor's resources
+/// are profiled as `tx.*` and the receive adaptor's as `rx.*`, so one
+/// profile ranks every path resource against the others (the R-O1
+/// bottleneck table).
+///
+/// The receive configuration's [`RxConfig::link_faults`] stand between
+/// the two adaptors: the transmit side's actual departures pass through
+/// the fault process before becoming the receive side's arrivals, and
+/// `report.rx.link` records what the link did.
+pub fn run_e2e_full(
+    tx_cfg: &TxConfig,
+    rx_cfg: &RxConfig,
+    packets: &[TxPacket],
+    propagation: Duration,
+    tracer: &mut dyn Tracer,
+    profiler: &mut dyn Profiler,
+) -> E2eReport {
+    assert_eq!(
+        tx_cfg.aal, rx_cfg.aal,
+        "both ends must speak the same adaptation layer"
+    );
+    let tx_report = run_tx_full(tx_cfg, packets, tracer, profiler);
+    let wl = rx_workload_from_departures(tx_cfg.aal, packets, &tx_report.departures, propagation);
+    let rx_report = run_rx_full(rx_cfg, &wl, tracer, profiler);
+    assemble_report(packets, tx_report, rx_report)
+}
+
+/// [`run_e2e_full`] with only a tracer. Kept as a one-line forwarder for
+/// the external wall-clock benchmark, which imports it by name; it is
+/// deleted with its last caller.
 pub fn run_e2e_instrumented(
     tx_cfg: &TxConfig,
     rx_cfg: &RxConfig,
@@ -84,10 +111,9 @@ pub fn run_e2e_instrumented(
     )
 }
 
-/// [`run_e2e`] with a profiler charging both pipeline halves onto one
-/// shared clock. The transmit adaptor's resources appear as `tx.*`, the
-/// receive adaptor's as `rx.*`, so a single profile ranks all nine
-/// path resources against each other — the bottleneck table R-O1 uses.
+/// [`run_e2e_full`] with only a profiler. Kept as a one-line forwarder
+/// for the external wall-clock benchmark, which imports it by name; it
+/// is deleted with its last caller.
 pub fn run_e2e_profiled(
     tx_cfg: &TxConfig,
     rx_cfg: &RxConfig,
@@ -105,107 +131,13 @@ pub fn run_e2e_profiled(
     )
 }
 
-/// [`run_e2e`] with a seeded [`FaultPlan`] standing between the two
-/// adaptors: the transmit pipeline's actual departures pass through the
-/// fault process (loss, corruption, duplication, reordering) before
-/// becoming the receive pipeline's arrivals. Returns what the link did
-/// alongside the report so callers can reconcile the cell ledger across
-/// the whole path. `FaultPlan::NONE` reproduces [`run_e2e`] exactly —
-/// byte-identical reports, zero RNG draws.
-pub fn run_e2e_faulted(
-    tx_cfg: &TxConfig,
-    rx_cfg: &RxConfig,
-    packets: &[TxPacket],
-    propagation: Duration,
-    plan: &FaultPlan,
-    seed: u64,
-) -> (E2eReport, LinkFaults) {
-    run_e2e_faulted_full(
-        tx_cfg,
-        rx_cfg,
-        packets,
-        propagation,
-        plan,
-        seed,
-        &mut NullTracer,
-        &mut NullProfiler,
-    )
-}
-
-/// [`run_e2e_faulted`] with a tracer attached, so the metrics registry
-/// built from the trace can be reconciled against the cell ledger.
-pub fn run_e2e_faulted_instrumented(
-    tx_cfg: &TxConfig,
-    rx_cfg: &RxConfig,
-    packets: &[TxPacket],
-    propagation: Duration,
-    plan: &FaultPlan,
-    seed: u64,
-    tracer: &mut dyn Tracer,
-) -> (E2eReport, LinkFaults) {
-    run_e2e_faulted_full(
-        tx_cfg,
-        rx_cfg,
-        packets,
-        propagation,
-        plan,
-        seed,
-        tracer,
-        &mut NullProfiler,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_e2e_faulted_full(
-    tx_cfg: &TxConfig,
-    rx_cfg: &RxConfig,
-    packets: &[TxPacket],
-    propagation: Duration,
-    plan: &FaultPlan,
-    seed: u64,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
-) -> (E2eReport, LinkFaults) {
-    assert_eq!(
-        tx_cfg.aal, rx_cfg.aal,
-        "both ends must speak the same adaptation layer"
-    );
-    let (tx_report, departures) = run_tx_full(tx_cfg, packets, tracer, profiler);
-    let wl = rx_workload_from_departures(tx_cfg.aal, packets, &departures, propagation);
-    let (rx_report, completions, lf) =
-        run_rx_faulted_full(rx_cfg, &wl, plan, seed, tracer, profiler);
-    (
-        assemble_report(packets, tx_report, rx_report, &completions),
-        lf,
-    )
-}
-
-/// The full-instrumentation entry: tracer and profiler together.
-pub(crate) fn run_e2e_full(
-    tx_cfg: &TxConfig,
-    rx_cfg: &RxConfig,
-    packets: &[TxPacket],
-    propagation: Duration,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
-) -> E2eReport {
-    assert_eq!(
-        tx_cfg.aal, rx_cfg.aal,
-        "both ends must speak the same adaptation layer"
-    );
-    let (tx_report, departures) = run_tx_full(tx_cfg, packets, tracer, profiler);
-    let wl = rx_workload_from_departures(tx_cfg.aal, packets, &departures, propagation);
-    let (rx_report, completions) = run_rx_full(rx_cfg, &wl, tracer, profiler);
-    assemble_report(packets, tx_report, rx_report, &completions)
-}
-
 /// Turn the transmit side's cell departures into the receive side's
 /// arrival schedule: connection indices assigned per VC, cell counts
 /// from the AAL arithmetic, arrival clocks shifted by `propagation`.
 fn rx_workload_from_departures(
     aal: AalType,
     packets: &[TxPacket],
-    departures: &[crate::txsim::CellDeparture],
+    departures: &[CellDeparture],
     propagation: Duration,
 ) -> RxWorkload {
     // VC → connection index through the sharded connection table (same
@@ -238,19 +170,17 @@ fn rx_workload_from_departures(
     RxWorkload { arrivals, pkts }
 }
 
-/// Fold the two half-pipeline reports and the per-packet completion
-/// clocks into the end-to-end measurement.
+/// Fold the two half-pipeline reports into the end-to-end measurement.
 fn assemble_report(
     packets: &[TxPacket],
     tx_report: crate::txsim::TxReport,
     rx_report: crate::rxsim::RxReport,
-    completions: &[Option<Time>],
 ) -> E2eReport {
     let mut latency = Summary::new();
     let mut latency_hist = HdrHist::new();
     let mut tail = TailReservoir::paper();
     let mut delivered_octets = 0u64;
-    for (i, done) in completions.iter().enumerate() {
+    for (i, done) in rx_report.completions.iter().enumerate() {
         if let Some(t) = done {
             let lat = t.saturating_since(packets[i].arrival);
             latency.record_us(lat);
@@ -286,6 +216,7 @@ mod tests {
     use super::*;
     use crate::txsim::greedy_workload;
     use hni_atm::VcId;
+    use hni_sim::FaultPlan;
     use hni_sonet::LineRate;
 
     fn paper_pair() -> (TxConfig, RxConfig) {
@@ -402,25 +333,29 @@ mod tests {
         let (txc, rxc) = paper_pair();
         let pkts = greedy_workload(12, 9180, VcId::new(0, 32));
         let clean = run_e2e(&txc, &rxc, &pkts, Duration::from_us(5));
-        let (faulted, lf) =
-            run_e2e_faulted(&txc, &rxc, &pkts, Duration::from_us(5), &FaultPlan::NONE, 1);
-        assert_eq!(lf.rng_draws, 0, "faultless path must not touch the RNG");
+        let seeded = RxConfig {
+            link_seed: 1,
+            ..rxc
+        };
+        let faulted = run_e2e(&txc, &seeded, &pkts, Duration::from_us(5));
+        assert_eq!(
+            faulted.rx.link.rng_draws, 0,
+            "faultless path must not touch the RNG"
+        );
         assert_eq!(format!("{clean:?}"), format!("{faulted:?}"));
     }
 
     #[test]
     fn faulted_e2e_loses_frames_and_reconciles() {
-        let (txc, rxc) = paper_pair();
+        let (txc, mut rxc) = paper_pair();
+        rxc.link_faults = FaultPlan::loss(0.01);
+        rxc.link_seed = 7;
         let pkts = greedy_workload(40, 9180, VcId::new(0, 32));
-        let (r, lf) = run_e2e_faulted(
-            &txc,
-            &rxc,
-            &pkts,
-            Duration::from_us(5),
-            &FaultPlan::loss(0.01),
-            7,
+        let r = run_e2e(&txc, &rxc, &pkts, Duration::from_us(5));
+        assert!(
+            r.rx.link.dropped > 0,
+            "1% loss over 40 jumbo frames should hit"
         );
-        assert!(lf.dropped > 0, "1% loss over 40 jumbo frames should hit");
         assert!(r.delivered < r.offered);
         assert_eq!(r.delivered + r.rx.failed_packets, r.offered);
         assert!(

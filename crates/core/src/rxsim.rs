@@ -17,8 +17,8 @@
 //! separately counted and every cell the link injects reconciles to
 //! exactly one disposition in the run's [`CellLedger`]:
 //!
-//! * **link faults** — a [`FaultPlan`] perturbing the arrival schedule
-//!   (loss, corruption, duplication, bounded reordering);
+//! * **link faults** — [`RxConfig::link_faults`] perturbing the arrival
+//!   schedule (loss, corruption, duplication, bounded reordering);
 //! * **input FIFO overrun** — the engine's per-cell work exceeds the
 //!   cell slot; arrivals outrun processing and the FIFO tops out;
 //! * **buffer-pool exhaustion** — too many partially reassembled frames
@@ -74,6 +74,12 @@ pub struct RxConfig {
     pub reassembly_timeout: Duration,
     /// Fault plan for the host bus (stalls / aborted bursts).
     pub bus_faults: BusFaultPlan,
+    /// Fault plan for the link ahead of the interface: every arrival
+    /// passes through it (see [`apply_faults`]) before the pipeline
+    /// sees it. [`FaultPlan::NONE`] leaves the workload untouched.
+    pub link_faults: FaultPlan,
+    /// Seed of the link fault process.
+    pub link_seed: u64,
 }
 
 impl RxConfig {
@@ -93,6 +99,8 @@ impl RxConfig {
             policy: DiscardPolicy::DropTail,
             reassembly_timeout: Duration::from_ms(10),
             bus_faults: BusFaultPlan::NONE,
+            link_faults: FaultPlan::NONE,
+            link_seed: 0,
         }
     }
 }
@@ -396,6 +404,11 @@ pub struct RxReport {
     pub run_end: Time,
     /// Where every injected cell went.
     pub ledger: CellLedger,
+    /// Each workload packet's completion time (`None` for packets that
+    /// never completed), indexed like the workload's packet table.
+    pub completions: Vec<Option<Time>>,
+    /// What the link's fault plan did to the workload.
+    pub link: LinkFaults,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -441,127 +454,47 @@ struct PktState {
 
 /// Run the receive pipeline over a workload.
 pub fn run_rx(cfg: &RxConfig, wl: &RxWorkload) -> RxReport {
-    run_rx_inner(cfg, wl, &mut None, &mut NullTracer, &mut NullProfiler)
+    run_rx_full(cfg, wl, &mut NullTracer, &mut NullProfiler)
 }
 
-/// Like [`run_rx`], additionally returning each packet's completion
-/// time (`None` for packets that never completed).
-pub fn run_rx_traced(cfg: &RxConfig, wl: &RxWorkload) -> (RxReport, Vec<Option<Time>>) {
-    let mut completions = Some(vec![None; wl.pkts.len()]);
-    let report = run_rx_inner(
-        cfg,
-        wl,
-        &mut completions,
-        &mut NullTracer,
-        &mut NullProfiler,
-    );
-    (report, completions.expect("trace requested"))
-}
-
-/// Like [`run_rx_traced`], emitting a structured [`TraceEvent`] at every
-/// pipeline stage boundary (cell arrival, FIFO admission/drop, per-cell
-/// engine spans, reassembly appends, validation, delivery DMA,
-/// completion) into `tracer`.
-pub fn run_rx_instrumented(
+/// [`run_rx`] with probes attached. `tracer` receives a structured
+/// [`TraceEvent`] at every pipeline stage boundary (cell arrival, FIFO
+/// admission/drop, per-cell engine spans, reassembly appends,
+/// validation, delivery DMA, completion). `profiler` is charged every
+/// simulated interval: engine busy time and stalls (`rx.engine`),
+/// delivery-DMA bus cycles (`rx.bus`), arriving cell slots (`rx.link`),
+/// and the input-FIFO and reassembly-pool occupancy gauges (`rx.fifo`,
+/// `rx.pool`). Probes only observe: the report is the one [`run_rx`]
+/// returns.
+///
+/// The workload first crosses the link's [`RxConfig::link_faults`];
+/// the link's own losses are folded into the report's [`CellLedger`] so
+/// the conservation invariant spans the whole path.
+pub fn run_rx_full(
     cfg: &RxConfig,
     wl: &RxWorkload,
-    tracer: &mut dyn Tracer,
-) -> (RxReport, Vec<Option<Time>>) {
-    run_rx_full(cfg, wl, tracer, &mut NullProfiler)
-}
-
-/// Like [`run_rx_traced`], charging every simulated interval into the
-/// cycle-accounting `profiler`: engine busy time and stalls
-/// (`rx.engine`), delivery-DMA bus cycles (`rx.bus`), arriving cell
-/// slots (`rx.link`), and the input-FIFO and reassembly-pool occupancy
-/// gauges (`rx.fifo`, `rx.pool`).
-pub fn run_rx_profiled(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    profiler: &mut dyn Profiler,
-) -> (RxReport, Vec<Option<Time>>) {
-    run_rx_full(cfg, wl, &mut NullTracer, profiler)
-}
-
-/// Run a workload through a seeded link [`FaultPlan`] and then the
-/// receive pipeline, folding the link's own losses into the report's
-/// [`CellLedger`] so the conservation invariant spans the whole path.
-pub fn run_rx_faulted(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    plan: &FaultPlan,
-    seed: u64,
-) -> (RxReport, LinkFaults) {
-    let (report, _, lf) =
-        run_rx_faulted_full(cfg, wl, plan, seed, &mut NullTracer, &mut NullProfiler);
-    (report, lf)
-}
-
-/// [`run_rx_faulted`] with a tracer attached (for metrics-registry
-/// reconciliation against the ledger).
-pub fn run_rx_faulted_instrumented(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    plan: &FaultPlan,
-    seed: u64,
-    tracer: &mut dyn Tracer,
-) -> (RxReport, LinkFaults) {
-    let (report, _, lf) = run_rx_faulted_full(cfg, wl, plan, seed, tracer, &mut NullProfiler);
-    (report, lf)
-}
-
-pub(crate) fn run_rx_faulted_full(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    plan: &FaultPlan,
-    seed: u64,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
-) -> (RxReport, Vec<Option<Time>>, LinkFaults) {
-    let (fwl, lf) = apply_faults(wl, plan, cfg.rate.cell_slot_time(), seed);
-    let mut completions = Some(vec![None; wl.pkts.len()]);
-    let mut report = run_rx_inner(cfg, &fwl, &mut completions, tracer, profiler);
-    report.ledger.injected += lf.dropped;
-    report.ledger.dropped_link = lf.dropped;
-    // Packets whose every cell the link swallowed never started at the
-    // interface; they still failed end to end.
-    let mut present = vec![false; wl.pkts.len()];
-    for a in &fwl.arrivals {
-        present[a.pkt] = true;
-    }
-    let mut offered = vec![false; wl.pkts.len()];
-    for a in &wl.arrivals {
-        offered[a.pkt] = true;
-    }
-    let vanished = offered
-        .iter()
-        .zip(&present)
-        .filter(|(o, p)| **o && !**p)
-        .count();
-    report.failed_packets += vanished as u64;
-    (report, completions.expect("completions requested"), lf)
-}
-
-/// Both observability sinks at once — what the end-to-end composition
-/// runs so one pass can feed the tracer and the profiler.
-pub(crate) fn run_rx_full(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
-) -> (RxReport, Vec<Option<Time>>) {
-    let mut completions = Some(vec![None; wl.pkts.len()]);
-    let report = run_rx_inner(cfg, wl, &mut completions, tracer, profiler);
-    (report, completions.expect("trace requested"))
-}
-
-fn run_rx_inner(
-    cfg: &RxConfig,
-    wl: &RxWorkload,
-    completions: &mut Option<Vec<Option<Time>>>,
     tracer: &mut dyn Tracer,
     profiler: &mut dyn Profiler,
 ) -> RxReport {
+    // A faultless link uses the workload as given: no copy, no RNG.
+    let offered = wl;
+    let faulted;
+    let (wl, link) = if cfg.link_faults.is_none() {
+        let clean = LinkFaults {
+            offered: wl.arrivals.len() as u64,
+            ..LinkFaults::default()
+        };
+        (wl, clean)
+    } else {
+        let (fwl, lf) = apply_faults(
+            wl,
+            &cfg.link_faults,
+            cfg.rate.cell_slot_time(),
+            cfg.link_seed,
+        );
+        faulted = fwl;
+        (&faulted, lf)
+    };
     let engine = ProtocolEngine::new(cfg.mips, &cfg.partition);
     let mut bus = Bus::with_faults(cfg.bus, cfg.bus_faults);
     let mut pool = BufferPool::with_policy(cfg.pool, cfg.policy);
@@ -605,9 +538,11 @@ fn run_rx_inner(
     let slot = cfg.rate.cell_slot_time();
 
     let mut ledger = CellLedger {
-        injected: wl.arrivals.len() as u64,
+        injected: wl.arrivals.len() as u64 + link.dropped,
+        dropped_link: link.dropped,
         ..CellLedger::default()
     };
+    let mut completions = vec![None; wl.pkts.len()];
     let mut delivered_packets = 0u64;
     let mut delivered_octets = 0u64;
     let mut failed_packets = 0u64;
@@ -994,9 +929,7 @@ fn run_rx_inner(
                         delivered_packets += 1;
                         delivered_octets += meta.len as u64;
                         finished_at = now;
-                        if let Some(c) = completions.as_mut() {
-                            c[p] = Some(now);
-                        }
+                        completions[p] = Some(now);
                         if let Some(t0) = pkts[p].first_arrival {
                             let lat = now.saturating_since(t0);
                             latency.record_us(lat);
@@ -1098,6 +1031,19 @@ fn run_rx_inner(
         pkts[p].retained = 0;
         resolve_failed!(end, p);
     }
+    if link.dropped > 0 {
+        // Packets whose every cell the link swallowed never started at
+        // the interface; they still failed end to end.
+        let mut sent = vec![false; wl.pkts.len()];
+        for a in &offered.arrivals {
+            sent[a.pkt] = true;
+        }
+        failed_packets += pkts
+            .iter()
+            .zip(&sent)
+            .filter(|(st, &sent)| sent && st.first_arrival.is_none())
+            .count() as u64;
+    }
     let elapsed_s = end.saturating_since(Time::ZERO).as_s_f64();
     RxReport {
         cells_offered: wl.arrivals.len() as u64,
@@ -1127,6 +1073,8 @@ fn run_rx_inner(
         finished_at,
         run_end: end,
         ledger,
+        completions,
+        link,
     }
 }
 
@@ -1320,13 +1268,15 @@ mod tests {
 
     #[test]
     fn faulted_run_reconciles_and_is_deterministic() {
-        let cfg = RxConfig::paper(LineRate::Oc12);
+        let mut cfg = RxConfig::paper(LineRate::Oc12);
         let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 8, 6, 9180, 0.9);
-        let plan = FaultPlan::iid(0.005, 1e-5)
+        cfg.link_faults = FaultPlan::iid(0.005, 1e-5)
             .with_duplication(0.01)
             .with_reorder(0.02, 4);
-        let (r1, lf1) = run_rx_faulted(&cfg, &wl, &plan, 42);
-        let (r2, lf2) = run_rx_faulted(&cfg, &wl, &plan, 42);
+        cfg.link_seed = 42;
+        let r1 = run_rx(&cfg, &wl);
+        let r2 = run_rx(&cfg, &wl);
+        let (lf1, lf2) = (r1.link, r2.link);
         assert_eq!(lf1, lf2);
         assert_eq!(r1.ledger, r2.ledger);
         assert!(lf1.dropped > 0, "0.5% loss over 9216 cells");
@@ -1348,8 +1298,15 @@ mod tests {
         let cfg = RxConfig::paper(LineRate::Oc12);
         let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 10, 9180, 0.9);
         let plain = run_rx(&cfg, &wl);
-        let (faulted, lf) = run_rx_faulted(&cfg, &wl, &FaultPlan::NONE, 7);
-        assert_eq!(lf.rng_draws, 0, "empty plan must not touch the RNG");
+        let seeded = RxConfig {
+            link_seed: 7,
+            ..cfg.clone()
+        };
+        let faulted = run_rx(&seeded, &wl);
+        assert_eq!(
+            faulted.link.rng_draws, 0,
+            "empty plan must not touch the RNG"
+        );
         assert_eq!(format!("{plain:?}"), format!("{faulted:?}"));
     }
 

@@ -128,6 +128,10 @@ pub struct TxReport {
     pub interdeparture_us: HashMap<VcId, Summary>,
     /// Peak output-FIFO occupancy.
     pub fifo_peak: u64,
+    /// Every cell's departure from the framer, in line order — the
+    /// arrival schedule the end-to-end composition ([`crate::e2esim`])
+    /// feeds to the receive pipeline.
+    pub departures: Vec<CellDeparture>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,59 +196,20 @@ pub struct CellDeparture {
 
 /// Run the transmit pipeline over `packets` (need not be sorted).
 pub fn run_tx(cfg: &TxConfig, packets: &[TxPacket]) -> TxReport {
-    run_tx_inner(cfg, packets, &mut None, &mut NullTracer, &mut NullProfiler)
+    run_tx_full(cfg, packets, &mut NullTracer, &mut NullProfiler)
 }
 
-/// Like [`run_tx`], additionally returning every cell's departure time —
-/// the input the end-to-end composition ([`crate::e2esim`]) feeds to the
-/// receive pipeline.
-pub fn run_tx_traced(cfg: &TxConfig, packets: &[TxPacket]) -> (TxReport, Vec<CellDeparture>) {
-    let mut trace = Some(Vec::new());
-    let report = run_tx_inner(cfg, packets, &mut trace, &mut NullTracer, &mut NullProfiler);
-    (report, trace.expect("trace requested"))
-}
-
-/// Like [`run_tx_traced`], emitting a structured [`TraceEvent`] at every
-/// pipeline stage boundary (descriptor fetch, setup span, DMA bursts,
-/// segmentation spans, FIFO admission, framer hand-off) into `tracer`.
-pub fn run_tx_instrumented(
+/// [`run_tx`] with probes attached. `tracer` receives a structured
+/// [`TraceEvent`] at every pipeline stage boundary (descriptor fetch,
+/// setup span, DMA bursts, segmentation spans, FIFO admission, framer
+/// hand-off). `profiler` is charged every simulated interval: engine
+/// busy time and its classified stalls (`tx.engine`), bus data and
+/// arbitration cycles (`tx.bus`), framer cell slots (`tx.link`), and the
+/// output-FIFO occupancy gauge (`tx.fifo`). Probes only observe: the
+/// report is the one [`run_tx`] returns.
+pub fn run_tx_full(
     cfg: &TxConfig,
     packets: &[TxPacket],
-    tracer: &mut dyn Tracer,
-) -> (TxReport, Vec<CellDeparture>) {
-    run_tx_full(cfg, packets, tracer, &mut NullProfiler)
-}
-
-/// Like [`run_tx_traced`], charging every simulated interval into the
-/// cycle-accounting `profiler`: engine busy time and its classified
-/// stalls (`tx.engine`), bus data and arbitration cycles (`tx.bus`),
-/// framer cell slots (`tx.link`), and the output-FIFO occupancy gauge
-/// (`tx.fifo`).
-pub fn run_tx_profiled(
-    cfg: &TxConfig,
-    packets: &[TxPacket],
-    profiler: &mut dyn Profiler,
-) -> (TxReport, Vec<CellDeparture>) {
-    run_tx_full(cfg, packets, &mut NullTracer, profiler)
-}
-
-/// Both observability sinks at once — what the end-to-end composition
-/// runs so one pass can feed the tracer and the profiler.
-pub(crate) fn run_tx_full(
-    cfg: &TxConfig,
-    packets: &[TxPacket],
-    tracer: &mut dyn Tracer,
-    profiler: &mut dyn Profiler,
-) -> (TxReport, Vec<CellDeparture>) {
-    let mut trace = Some(Vec::new());
-    let report = run_tx_inner(cfg, packets, &mut trace, tracer, profiler);
-    (report, trace.expect("trace requested"))
-}
-
-fn run_tx_inner(
-    cfg: &TxConfig,
-    packets: &[TxPacket],
-    trace: &mut Option<Vec<CellDeparture>>,
     tracer: &mut dyn Tracer,
     profiler: &mut dyn Profiler,
 ) -> TxReport {
@@ -290,6 +255,7 @@ fn run_tx_inner(
     let mut vc_cells = VcMetrics::new();
     let mut interdeparture: HashMap<VcId, Summary> = HashMap::new();
     let mut slots_elapsed: u64 = 0;
+    let mut departures = Vec::new();
 
     // Helper closures are impossible with this much shared state; a
     // small macro keeps the engine dispatch readable instead.
@@ -580,13 +546,11 @@ fn run_tx_inner(
                                 .arg(fifo.len() as u64),
                         );
                     }
-                    if let Some(t) = trace.as_mut() {
-                        t.push(CellDeparture {
-                            at: now,
-                            pkt: pkt_idx,
-                            is_last,
-                        });
-                    }
+                    departures.push(CellDeparture {
+                        at: now,
+                        pkt: pkt_idx,
+                        is_last,
+                    });
                     finished_at = now;
                     let ctx = &mut ctxs[ci];
                     if let Some(prev) = ctx.last_departure {
@@ -676,6 +640,7 @@ fn run_tx_inner(
         vc_cells,
         interdeparture_us: interdeparture,
         fifo_peak,
+        departures,
     }
 }
 

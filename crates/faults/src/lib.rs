@@ -11,9 +11,9 @@
 //!   arbitration stalls and aborted-then-retried bursts;
 //! * the **NIC ingress** (`hni_core::Nic::inject_cell_faulted`) runs
 //!   raw cells through a [`FaultInjector`] before injection;
-//! * the **receive pipeline** (`hni_core::rxsim::run_rx_faulted` and
-//!   `e2esim::run_e2e_faulted`) perturbs the arrival schedule with a
-//!   plan and reconciles every injected cell to exactly one drop or
+//! * the **receive pipeline** (`hni_core::RxConfig::link_faults`, used
+//!   by `run_rx` and `run_e2e` alike) perturbs the arrival schedule with
+//!   a plan and reconciles every injected cell to exactly one drop or
 //!   delivery reason.
 //!
 //! The primitive types live in `hni_sim::faults` (so the bottom-layer

@@ -1,46 +1,20 @@
 //! Allocation-count proofs for the tracing and profiling hot paths.
 //!
-//! A counting global allocator wraps `System`; the tests assert that
-//! recording through a `NullTracer` — and into a warmed `RingTracer` —
-//! and charging through a `NullProfiler` perform zero heap allocations,
-//! which is what makes it safe to leave instrumentation in the per-cell
-//! steady-state path.
+//! A thread-filtered counting global allocator (the workspace's
+//! `tests/support/alloc_counter.rs`) wraps `System`; the tests assert
+//! that recording through a `NullTracer` — and into a warmed
+//! `RingTracer` — and charging through a `NullProfiler` perform zero
+//! heap allocations, which is what makes it safe to leave
+//! instrumentation in the per-cell steady-state path.
 
 use hni_telemetry::{
     Activity, Component, Duration, NullProfiler, NullTracer, Profiler, RingTracer, Stage,
     TailReservoir, Time, TraceEvent, Tracer,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
+#[path = "../../../tests/support/alloc_counter.rs"]
+mod alloc_counter;
+use alloc_counter::allocs_during;
 
 fn ev(i: u64) -> TraceEvent {
     TraceEvent::instant(Time::from_ns(i), Stage::TxFramer)
@@ -51,7 +25,7 @@ fn ev(i: u64) -> TraceEvent {
 #[test]
 fn null_tracer_records_without_allocating() {
     let mut t = NullTracer;
-    let n = allocs_during(|| {
+    let (_, n) = allocs_during(|| {
         for i in 0..10_000 {
             if t.enabled() {
                 t.record(ev(i));
@@ -66,7 +40,7 @@ fn null_profiler_charges_without_allocating() {
     // The exact shape of every profiler call site in the simulations:
     // gate on enabled(), then charge or gauge.
     let mut p = NullProfiler;
-    let n = allocs_during(|| {
+    let (_, n) = allocs_during(|| {
         for i in 0..100_000u64 {
             if p.enabled() {
                 p.charge(
@@ -90,7 +64,7 @@ fn tail_reservoir_records_without_allocating() {
     // (Reading the exemplars back — slowest()/sampled() — sorts into a
     // fresh Vec and is allowed to allocate; it runs once per report.)
     let mut tail = TailReservoir::paper();
-    let n = allocs_during(|| {
+    let (_, n) = allocs_during(|| {
         for i in 0..100_000u64 {
             let lat = Duration::from_ns(1_000 + (i * 7919) % 50_000);
             tail.record(64, i as u32, lat, Time::from_ns(i) + lat);
@@ -104,7 +78,7 @@ fn tail_reservoir_records_without_allocating() {
 #[test]
 fn warmed_ring_tracer_records_without_allocating() {
     let mut t = RingTracer::new(1024);
-    let n = allocs_during(|| {
+    let (_, n) = allocs_during(|| {
         for i in 0..100_000 {
             if t.enabled() {
                 t.record(ev(i));

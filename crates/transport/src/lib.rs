@@ -16,7 +16,8 @@
 //! * [`RtoEstimator`] — adaptive retransmission timeout: Jacobson
 //!   SRTT/RTTVAR, Karn's rule (retransmitted frames never produce RTT
 //!   samples), capped exponential backoff;
-//! * [`run_transport`] and friends — the closed-loop simulator itself,
+//! * [`run_transport`] (plain) and [`run_transport_full`] (with a
+//!   tracer and profiler attached) — the closed-loop simulator itself,
 //!   driven off the cell-slot clock of a [`hni_sonet::LineRate`], with
 //!   deterministic fault injection and propagation-delay models from
 //!   `hni-faults` on both the forward and reverse paths.
@@ -30,7 +31,5 @@ pub mod sim;
 pub mod window;
 
 pub use rto::{RtoConfig, RtoEstimator};
-pub use sim::{
-    run_transport, run_transport_full, run_transport_instrumented, TransportConfig, TransportReport,
-};
+pub use sim::{run_transport, run_transport_full, TransportConfig, TransportReport};
 pub use window::SendWindow;

@@ -335,22 +335,14 @@ pub fn run_transport(cfg: &TransportConfig) -> TransportReport {
     run_transport_full(cfg, &mut NullTracer, &mut NullProfiler)
 }
 
-/// Run the closed loop with a tracer attached (profiling off).
-pub fn run_transport_instrumented<T: Tracer>(
-    cfg: &TransportConfig,
-    tracer: &mut T,
-) -> TransportReport {
-    run_transport_full(cfg, tracer, &mut NullProfiler)
-}
-
-/// Run the closed loop with both a tracer and a profiler attached. The
+/// [`run_transport`] with probes attached: a tracer and a profiler. The
 /// receive side charges the same components (`RxLink`, `RxPool`) and
 /// emits the same stages a first transmission would in `rxsim` — a
 /// retransmitted cell is indistinguishable on the telemetry plane.
-pub fn run_transport_full<T: Tracer, P: Profiler>(
+pub fn run_transport_full(
     cfg: &TransportConfig,
-    tracer: &mut T,
-    profiler: &mut P,
+    tracer: &mut dyn Tracer,
+    profiler: &mut dyn Profiler,
 ) -> TransportReport {
     cfg.validate();
     let mut sim = Sim::new(cfg);
@@ -414,7 +406,7 @@ impl Sim {
         }
     }
 
-    fn run<T: Tracer, P: Profiler>(&mut self, tracer: &mut T, profiler: &mut P) -> TransportReport {
+    fn run(&mut self, tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> TransportReport {
         self.q.schedule(Time::ZERO, Ev::TxSlot);
         self.tx_scheduled = true;
         if self.cfg.start_stagger > Duration::ZERO {
@@ -851,15 +843,15 @@ impl Sim {
     // ---- receiver side --------------------------------------------
 
     #[allow(clippy::too_many_arguments)]
-    fn on_data<T: Tracer, P: Profiler>(
+    fn on_data(
         &mut self,
         now: Time,
         attempt: u32,
         cell: u32,
         is_last: bool,
         corrupted: bool,
-        tracer: &mut T,
-        profiler: &mut P,
+        tracer: &mut dyn Tracer,
+        profiler: &mut dyn Profiler,
     ) {
         let ai = attempt as usize;
         let conn = self.attempts[ai].vc;
@@ -1007,7 +999,7 @@ impl Sim {
 
     /// Fail an attempt: release whatever it holds and mark it resolved.
     /// Callers must have moved `retained` into a ledger bucket first.
-    fn resolve_failed<P: Profiler>(&mut self, now: Time, ai: usize, profiler: &mut P) {
+    fn resolve_failed(&mut self, now: Time, ai: usize, profiler: &mut dyn Profiler) {
         let freed = self.pool.release_chain(now, ai as ChainKey);
         if freed > 0 && profiler.enabled() {
             profiler.gauge(Component::RxPool, now, self.pool.in_use() as u64);
@@ -1018,12 +1010,12 @@ impl Sim {
 
     /// An attempt reassembled and validated intact: deliver (or discard
     /// as superseded), then ack.
-    fn complete_attempt<T: Tracer, P: Profiler>(
+    fn complete_attempt(
         &mut self,
         now: Time,
         ai: usize,
-        tracer: &mut T,
-        profiler: &mut P,
+        tracer: &mut dyn Tracer,
+        profiler: &mut dyn Profiler,
     ) {
         let conn = self.attempts[ai].vc;
         let gidx = self.frame_id(ai);
@@ -1120,7 +1112,7 @@ impl Sim {
         }
     }
 
-    fn on_expire<T: Tracer, P: Profiler>(&mut self, now: Time, tracer: &mut T, profiler: &mut P) {
+    fn on_expire(&mut self, now: Time, tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) {
         let timeout = self.cfg.reassembly_timeout;
         let mut any_open = false;
         for ai in self.expire_floor..self.attempts.len() {

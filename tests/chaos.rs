@@ -9,14 +9,14 @@
 //! pins two — and default to a small sweep otherwise. Every seed is
 //! printed on failure, so any counterexample is a one-line repro.
 
-use hni_core::e2esim::run_e2e_faulted;
-use hni_core::rxsim::{run_rx_faulted_instrumented, RxConfig, RxWorkload};
+use hni_core::e2esim::run_e2e;
+use hni_core::rxsim::{run_rx_full, RxConfig, RxWorkload};
 use hni_core::txsim::{greedy_workload, TxConfig};
 use hni_core::DiscardPolicy;
 use hni_faults::chaos;
 use hni_sim::Duration;
 use hni_sonet::LineRate;
-use hni_telemetry::{Metric, MetricsRegistry, VecTracer};
+use hni_telemetry::{Metric, MetricsRegistry, NullProfiler, VecTracer};
 
 fn seeds() -> Vec<u64> {
     match std::env::var("HNI_CHAOS_SEEDS") {
@@ -30,9 +30,11 @@ fn seeds() -> Vec<u64> {
 
 /// Vary the degradation policy and pool pressure with the seed so the
 /// chaos sweep exercises drop-tail, EPD and PPD under both roomy and
-/// starved pools.
+/// starved pools, behind a random link fault plan from the same seed.
 fn rx_cfg_for(seed: u64) -> RxConfig {
     let mut cfg = RxConfig::paper(LineRate::Oc12);
+    cfg.link_faults = chaos::random_plan(seed);
+    cfg.link_seed = seed;
     cfg.policy = match seed % 3 {
         0 => DiscardPolicy::DropTail,
         1 => DiscardPolicy::Epd { threshold: 2 },
@@ -60,10 +62,9 @@ fn chaotic_rx_runs_reconcile_ledger_and_registry() {
     let wl = RxWorkload::uniform(LineRate::Oc12, hni_aal::AalType::Aal5, 16, 4, 9180, 1.0);
     for seed in seeds() {
         let cfg = rx_cfg_for(seed);
-        let plan = chaos::random_plan(seed);
         let mut tracer = VecTracer::new();
-        let (report, lf) = run_rx_faulted_instrumented(&cfg, &wl, &plan, seed, &mut tracer);
-        let l = report.ledger;
+        let report = run_rx_full(&cfg, &wl, &mut tracer, &mut NullProfiler);
+        let (l, lf) = (report.ledger, report.link);
         assert!(
             l.reconciles(),
             "seed {seed}: ledger does not balance: {l:?}"
@@ -118,8 +119,8 @@ fn chaotic_e2e_runs_never_panic_and_conserve_packets() {
     let pkts = greedy_workload(30, 9180, hni_atm::VcId::new(0, 32));
     for seed in seeds() {
         let rxc = rx_cfg_for(seed);
-        let plan = chaos::random_plan(seed);
-        let (r, lf) = run_e2e_faulted(&txc, &rxc, &pkts, Duration::from_us(25), &plan, seed);
+        let r = run_e2e(&txc, &rxc, &pkts, Duration::from_us(25));
+        let lf = r.rx.link;
         assert!(
             r.rx.ledger.reconciles(),
             "seed {seed}: e2e ledger does not balance: {:?}",
@@ -214,13 +215,12 @@ fn chaos_is_reproducible_per_seed() {
     let wl = RxWorkload::uniform(LineRate::Oc12, hni_aal::AalType::Aal5, 8, 4, 9180, 1.0);
     for seed in [3u64, 17] {
         let cfg = rx_cfg_for(seed);
-        let plan = chaos::random_plan(seed);
         let mut t1 = VecTracer::new();
         let mut t2 = VecTracer::new();
-        let (a, la) = run_rx_faulted_instrumented(&cfg, &wl, &plan, seed, &mut t1);
-        let (b, lb) = run_rx_faulted_instrumented(&cfg, &wl, &plan, seed, &mut t2);
+        let a = run_rx_full(&cfg, &wl, &mut t1, &mut NullProfiler);
+        let b = run_rx_full(&cfg, &wl, &mut t2, &mut NullProfiler);
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed {seed}");
-        assert_eq!(la, lb, "seed {seed}");
+        assert_eq!(a.link, b.link, "seed {seed}");
         assert_eq!(t1.events(), t2.events(), "seed {seed}: traces diverged");
     }
 }

@@ -4,15 +4,15 @@
 //!    point (link, bus, receive pipeline, end-to-end composition) makes
 //!    *zero* RNG draws: the clean path never pays for the machinery.
 //! 2. **Faultless means identical** — a `NONE`-plan run produces
-//!    byte-identical reports to the plain entry points, so enabling the
+//!    byte-identical reports whatever its link seed, so enabling the
 //!    fault layer cannot perturb any published number.
 //! 3. **Seeds pin everything** — a faulted run is a pure function of
 //!    (plan, seed): same inputs, same ledger, same report; different
 //!    seeds genuinely differ.
 
 use hni_atm::VcId;
-use hni_core::e2esim::{run_e2e, run_e2e_faulted};
-use hni_core::rxsim::{run_rx, run_rx_faulted, RxConfig, RxWorkload};
+use hni_core::e2esim::run_e2e;
+use hni_core::rxsim::{run_rx, RxConfig, RxWorkload};
 use hni_core::txsim::{greedy_workload, TxConfig};
 use hni_core::{Bus, BusConfig};
 use hni_sim::{BusFaultPlan, Duration, FaultInjector, FaultPlan, Link, LinkDelivery, Rng, Time};
@@ -69,7 +69,13 @@ fn faultless_rx_run_is_byte_identical_and_draw_free() {
     let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, hni_aal::AalType::Aal5, 8, 6, 9180, 0.95);
     let plain = run_rx(&cfg, &wl);
-    let (faulted, lf) = run_rx_faulted(&cfg, &wl, &FaultPlan::NONE, 7);
+    let seeded = RxConfig {
+        link_faults: FaultPlan::NONE,
+        link_seed: 7,
+        ..cfg
+    };
+    let faulted = run_rx(&seeded, &wl);
+    let lf = faulted.link;
     assert_eq!(lf.rng_draws, 0, "faultless rx path drew randomness");
     assert_eq!(lf.dropped + lf.corrupted + lf.duplicated + lf.reordered, 0);
     assert_eq!(format!("{plain:?}"), format!("{faulted:?}"));
@@ -83,23 +89,35 @@ fn faultless_e2e_run_is_byte_identical_and_draw_free() {
     let pkts = greedy_workload(16, 9180, VcId::new(0, 32));
     let prop = Duration::from_us(5);
     let plain = run_e2e(&txc, &rxc, &pkts, prop);
-    let (faulted, lf) = run_e2e_faulted(&txc, &rxc, &pkts, prop, &FaultPlan::NONE, 3);
-    assert_eq!(lf.rng_draws, 0, "faultless e2e path drew randomness");
+    let seeded = RxConfig {
+        link_faults: FaultPlan::NONE,
+        link_seed: 3,
+        ..rxc
+    };
+    let faulted = run_e2e(&txc, &seeded, &pkts, prop);
+    assert_eq!(
+        faulted.rx.link.rng_draws, 0,
+        "faultless e2e path drew randomness"
+    );
     assert_eq!(format!("{plain:?}"), format!("{faulted:?}"));
 }
 
 #[test]
 fn faulted_runs_are_pure_functions_of_plan_and_seed() {
-    let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, hni_aal::AalType::Aal5, 8, 6, 9180, 0.95);
-    let plan = FaultPlan::iid(0.01, 1e-6)
-        .with_duplication(0.01)
-        .with_reorder(0.02, 4);
-    let (a, la) = run_rx_faulted(&cfg, &wl, &plan, 42);
-    let (b, lb) = run_rx_faulted(&cfg, &wl, &plan, 42);
+    let seeded = |link_seed| RxConfig {
+        link_faults: FaultPlan::iid(0.01, 1e-6)
+            .with_duplication(0.01)
+            .with_reorder(0.02, 4),
+        link_seed,
+        ..RxConfig::paper(LineRate::Oc12)
+    };
+    let a = run_rx(&seeded(42), &wl);
+    let b = run_rx(&seeded(42), &wl);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    let (la, lb) = (a.link, b.link);
     assert_eq!(la, lb);
-    let (_, lc) = run_rx_faulted(&cfg, &wl, &plan, 43);
+    let lc = run_rx(&seeded(43), &wl).link;
     assert_ne!(la, lc, "different seeds must produce different faults");
     assert!(a.ledger.reconciles(), "{:?}", a.ledger);
 }

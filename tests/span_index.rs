@@ -6,17 +6,26 @@
 //! always-on reservoir must keep naming the histogram's exact maximum.
 
 use hni_atm::VcId;
-use hni_core::e2esim::{run_e2e_faulted_instrumented, run_e2e_instrumented};
+use hni_core::e2esim::run_e2e_full;
 use hni_core::rxsim::RxConfig;
 use hni_core::txsim::{greedy_workload, TxConfig, TxPacket};
 use hni_sim::{Duration, FaultPlan};
 use hni_sonet::LineRate;
-use hni_telemetry::{attribute_tail, PacketSpans, VecTracer};
+use hni_telemetry::{attribute_tail, NullProfiler, PacketSpans, VecTracer};
 
 const PROPAGATION: Duration = Duration::from_us(5);
 
 fn workload(n: usize) -> Vec<TxPacket> {
     greedy_workload(n, 9180, VcId::new(0, 32))
+}
+
+/// The paper receive configuration behind a seeded link fault plan.
+fn faulted_rx(plan: FaultPlan, seed: u64) -> RxConfig {
+    RxConfig {
+        link_faults: plan,
+        link_seed: seed,
+        ..RxConfig::paper(LineRate::Oc12)
+    }
 }
 
 /// Duplication only: every cell survives, some arrive twice. Every
@@ -35,15 +44,15 @@ fn duplicated_cells_keep_every_span_telescoping() {
         ..FaultPlan::NONE
     };
     let mut tracer = VecTracer::new();
-    let (report, lf) = run_e2e_faulted_instrumented(
+    let report = run_e2e_full(
         &TxConfig::paper(LineRate::Oc12),
-        &RxConfig::paper(LineRate::Oc12),
+        &faulted_rx(plan, 0xd0b1e5),
         &workload(12),
         PROPAGATION,
-        &plan,
-        0xd0b1e5,
         &mut tracer,
+        &mut NullProfiler,
     );
+    let lf = report.rx.link;
     assert!(lf.duplicated > 0, "plan must actually duplicate: {lf:?}");
     let spans = PacketSpans::from_events(&tracer.into_events());
     assert_eq!(spans.len(), 12);
@@ -79,15 +88,15 @@ fn duplicated_cells_keep_every_span_telescoping() {
 fn lost_packets_leave_partial_but_attributable_spans() {
     let plan = FaultPlan::loss(0.05);
     let mut tracer = VecTracer::new();
-    let (report, lf) = run_e2e_faulted_instrumented(
+    let report = run_e2e_full(
         &TxConfig::paper(LineRate::Oc12),
-        &RxConfig::paper(LineRate::Oc12),
+        &faulted_rx(plan, 0x10557),
         &workload(20),
         PROPAGATION,
-        &plan,
-        0x10557,
         &mut tracer,
+        &mut NullProfiler,
     );
+    let lf = report.rx.link;
     assert!(lf.dropped > 0, "plan must actually drop: {lf:?}");
     let spans = PacketSpans::from_events(&tracer.into_events());
     let incomplete: Vec<u32> = spans
@@ -126,12 +135,13 @@ fn lost_packets_leave_partial_but_attributable_spans() {
 fn reservoir_names_the_histogram_max_and_reruns_identically() {
     let run = || {
         let mut tracer = VecTracer::new();
-        let r = run_e2e_instrumented(
+        let r = run_e2e_full(
             &TxConfig::paper(LineRate::Oc12),
             &RxConfig::paper(LineRate::Oc12),
             &workload(20),
             PROPAGATION,
             &mut tracer,
+            &mut NullProfiler,
         );
         (r, tracer.into_events())
     };
@@ -168,18 +178,20 @@ fn zero_length_packets_survive_the_faulted_path() {
         p.len = 0;
     }
     let mut tracer = VecTracer::new();
-    let (_, lf) = run_e2e_faulted_instrumented(
+    let plan = FaultPlan {
+        duplication: 0.02,
+        ..FaultPlan::NONE
+    };
+    let lf = run_e2e_full(
         &TxConfig::paper(LineRate::Oc12),
-        &RxConfig::paper(LineRate::Oc12),
+        &faulted_rx(plan, 0x1e43),
         &wl,
         PROPAGATION,
-        &FaultPlan {
-            duplication: 0.02,
-            ..FaultPlan::NONE
-        },
-        0x1e43,
         &mut tracer,
-    );
+        &mut NullProfiler,
+    )
+    .rx
+    .link;
     assert_eq!(lf.dropped, 0, "duplication-only plan must not drop");
     let spans = PacketSpans::from_events(&tracer.into_events());
     for p in spans.packets() {
