@@ -14,10 +14,10 @@
 //!   some waste at frame tails.
 //!
 //! The pool tracks exactly what buffer-sizing decisions need: buffers in
-//! use over time (time-weighted mean and peak) and allocation failures
-//! (a failure means a cell had nowhere to land — the frame is lost to
-//! *memory* pressure, not link errors; real interfaces under-provisioned
-//! this and the loss was mysterious at the time).
+//! use over time (time-weighted mean and peak). A refused append means a
+//! cell had nowhere to land — the frame is lost to *memory* pressure,
+//! not link errors; real interfaces under-provisioned this and the loss
+//! was mysterious at the time.
 //!
 //! ## Discard policies
 //!
@@ -35,8 +35,9 @@
 //!   is lost to exhaustion, reclaim the frame's buffers immediately and
 //!   refuse the rest of its cells — don't store what can't validate.
 //!
-//! The pool dooms the frame's chain key in both cases and counts every
-//! refused cell per policy, so callers can reconcile cells to reasons.
+//! The pool dooms the frame's chain key in both cases and reports every
+//! refusal with its reason; the receive-side frame-fate machine
+//! ([`crate::fate`]) turns those reasons into per-cell ledger counts.
 
 use hni_sim::{OccupancyTracker, Time};
 use std::collections::HashMap;
@@ -112,11 +113,6 @@ pub struct BufferPool {
     chains: HashMap<ChainKey, Chain>,
     doomed: HashMap<ChainKey, PoolError>,
     occupancy: OccupancyTracker,
-    alloc_failures: u64,
-    cells_stored: u64,
-    epd_discards: u64,
-    ppd_discards: u64,
-    ppd_reclaimed: u64,
 }
 
 impl BufferPool {
@@ -142,11 +138,6 @@ impl BufferPool {
             chains: HashMap::new(),
             doomed: HashMap::new(),
             occupancy: OccupancyTracker::new(),
-            alloc_failures: 0,
-            cells_stored: 0,
-            epd_discards: 0,
-            ppd_discards: 0,
-            ppd_reclaimed: 0,
         }
     }
 
@@ -164,22 +155,15 @@ impl BufferPool {
     /// engine work is spent on it). `starts_frame` marks the frame's
     /// first cell. Under EPD a new frame is refused outright when
     /// occupancy has crossed the threshold; cells of frames the policy
-    /// has already doomed are refused with the dooming reason. Each
-    /// refusal counts one cell against the responsible policy counter.
+    /// has already doomed are refused with the dooming reason.
     pub fn admit(&mut self, conn: ChainKey, starts_frame: bool) -> Result<(), PoolError> {
         if let Some(&why) = self.doomed.get(&conn) {
-            match why {
-                PoolError::EarlyDiscard => self.epd_discards += 1,
-                PoolError::PartialDiscard => self.ppd_discards += 1,
-                PoolError::Exhausted => {}
-            }
             return Err(why);
         }
         if starts_frame {
             if let DiscardPolicy::Epd { threshold } = self.policy {
                 if self.in_use() >= threshold {
                     self.doomed.insert(conn, PoolError::EarlyDiscard);
-                    self.epd_discards += 1;
                     return Err(PoolError::EarlyDiscard);
                 }
             }
@@ -191,12 +175,7 @@ impl BufferPool {
     pub fn append_cell(&mut self, now: Time, conn: ChainKey) -> Result<(), PoolError> {
         if let Some(&why) = self.doomed.get(&conn) {
             // A doomed frame's cell slipped past admission (e.g. it was
-            // already in the FIFO): refuse it here, same accounting.
-            match why {
-                PoolError::EarlyDiscard => self.epd_discards += 1,
-                PoolError::PartialDiscard => self.ppd_discards += 1,
-                PoolError::Exhausted => {}
-            }
+            // already in the FIFO): refuse it here, same reason.
             return Err(why);
         }
         let needs_buffer = match self.chains.get(&conn) {
@@ -205,16 +184,11 @@ impl BufferPool {
         };
         if needs_buffer {
             if self.free == 0 {
-                self.alloc_failures += 1;
                 if self.policy == DiscardPolicy::Ppd {
                     // Don't store what can't validate: reclaim the
-                    // frame's buffers now and doom its tail. The
-                    // triggering cell counts against PPD too (it is
-                    // refused) as well as against alloc_failures (it
-                    // did find the pool empty).
-                    self.ppd_reclaimed += self.release_chain(now, conn) as u64;
+                    // frame's buffers now and doom its tail.
+                    self.release_chain(now, conn);
                     self.doomed.insert(conn, PoolError::PartialDiscard);
-                    self.ppd_discards += 1;
                     return Err(PoolError::PartialDiscard);
                 }
                 return Err(PoolError::Exhausted);
@@ -231,7 +205,6 @@ impl BufferPool {
         }
         let chain = self.chains.get_mut(&conn).expect("chain ensured above");
         chain.cells_in_tail += 1;
-        self.cells_stored += 1;
         Ok(())
     }
 
@@ -249,19 +222,6 @@ impl BufferPool {
                 chain.buffers
             }
         }
-    }
-
-    /// Chain keys currently holding buffers whose *first* buffer was
-    /// allocated — i.e. frames under reassembly. Sorted for determinism.
-    pub fn active_chains(&self) -> Vec<ChainKey> {
-        let mut keys: Vec<ChainKey> = self.chains.keys().copied().collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Is this chain key currently doomed by a discard policy?
-    pub fn is_doomed(&self, conn: ChainKey) -> bool {
-        self.doomed.contains_key(&conn)
     }
 
     /// Buffers currently free.
@@ -286,31 +246,6 @@ impl BufferPool {
     /// Time-weighted mean buffers in use over `[0, end]`.
     pub fn mean_in_use(&self, end: Time) -> f64 {
         self.occupancy.mean(end)
-    }
-    /// The time-weighted occupancy tracker itself, for callers that
-    /// want the full gauge statistics (peak *and* mean in one place).
-    pub fn occupancy(&self) -> &OccupancyTracker {
-        &self.occupancy
-    }
-    /// Cells that found no buffer.
-    pub fn alloc_failures(&self) -> u64 {
-        self.alloc_failures
-    }
-    /// Cells stored successfully.
-    pub fn cells_stored(&self) -> u64 {
-        self.cells_stored
-    }
-    /// Cells refused by Early Packet Discard.
-    pub fn epd_discards(&self) -> u64 {
-        self.epd_discards
-    }
-    /// Cells refused by Partial Packet Discard.
-    pub fn ppd_discards(&self) -> u64 {
-        self.ppd_discards
-    }
-    /// Buffers PPD reclaimed from frames it cut short.
-    pub fn ppd_reclaimed_buffers(&self) -> u64 {
-        self.ppd_reclaimed
     }
 }
 
@@ -353,7 +288,6 @@ mod tests {
         p.append_cell(Time::ZERO, 0).unwrap();
         p.append_cell(Time::ZERO, 1).unwrap();
         assert_eq!(p.append_cell(Time::ZERO, 2), Err(PoolError::Exhausted));
-        assert_eq!(p.alloc_failures(), 1);
         // Releasing frees space again.
         p.release_chain(Time::ZERO, 0);
         assert!(p.append_cell(Time::ZERO, 2).is_ok());
@@ -380,8 +314,6 @@ mod tests {
         // 2 buffers for 1 µs, 0 for 1 µs → mean 1.
         let mean = p.mean_in_use(Time::from_us(2));
         assert!((mean - 1.0).abs() < 1e-9, "{mean}");
-        // The raw tracker agrees with the convenience accessors.
-        assert_eq!(p.occupancy().peak(), p.peak_in_use());
     }
 
     #[test]
@@ -415,10 +347,9 @@ mod tests {
         // Admission never refuses under drop-tail, even when full.
         assert!(p.admit(2, true).is_ok());
         assert_eq!(p.append_cell(Time::ZERO, 2), Err(PoolError::Exhausted));
-        // And the doomed set stays empty: siblings still try (and fail).
-        assert!(!p.is_doomed(2));
+        // Nothing is doomed: siblings still try (and fail).
+        assert!(p.admit(2, false).is_ok());
         assert_eq!(p.append_cell(Time::ZERO, 2), Err(PoolError::Exhausted));
-        assert_eq!(p.alloc_failures(), 2);
     }
 
     #[test]
@@ -436,16 +367,13 @@ mod tests {
         p.append_cell(Time::ZERO, 1).unwrap();
         // Occupancy 2 ≥ threshold: frame 2 is refused at its first cell…
         assert_eq!(p.admit(2, true), Err(PoolError::EarlyDiscard));
-        assert!(p.is_doomed(2));
         // …and every later cell of it, whether mid-frame or not.
         assert_eq!(p.admit(2, false), Err(PoolError::EarlyDiscard));
-        assert_eq!(p.epd_discards(), 2);
         // Frames already admitted still get buffers (the whole point).
         assert!(p.admit(0, false).is_ok());
         p.append_cell(Time::ZERO, 0).unwrap();
         // Release clears the doom so the key is reusable.
         p.release_chain(Time::ZERO, 2);
-        assert!(!p.is_doomed(2));
         p.release_chain(Time::ZERO, 0);
         p.release_chain(Time::ZERO, 1);
         assert!(p.admit(2, true).is_ok());
@@ -471,26 +399,14 @@ mod tests {
             Err(PoolError::PartialDiscard)
         );
         assert_eq!(p.free_buffers(), 2, "frame 0's buffers reclaimed");
-        assert_eq!(p.ppd_reclaimed_buffers(), 2);
-        assert!(p.is_doomed(0));
         assert_eq!(p.admit(0, false), Err(PoolError::PartialDiscard));
         assert_eq!(
             p.append_cell(Time::from_us(1), 0),
             Err(PoolError::PartialDiscard)
         );
-        assert_eq!(p.ppd_discards(), 3);
         // The reclaimed space lets other frames proceed.
         p.append_cell(Time::from_us(2), 2).unwrap();
         p.append_cell(Time::from_us(2), 2).unwrap();
-    }
-
-    #[test]
-    fn active_chains_sorted_for_determinism() {
-        let mut p = pool(8, 1);
-        for k in [5u32, 1, 3] {
-            p.append_cell(Time::ZERO, k).unwrap();
-        }
-        assert_eq!(p.active_chains(), vec![1, 3, 5]);
     }
 
     #[test]

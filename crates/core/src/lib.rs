@@ -27,6 +27,7 @@ pub mod config;
 pub mod driver;
 pub mod e2esim;
 pub mod engine;
+pub mod fate;
 pub mod nic;
 pub mod rxsim;
 pub mod txsim;
@@ -38,8 +39,7 @@ pub use config::NicConfig;
 pub use driver::{DriverConfig, DriverError, HostDriver, RxPacket};
 pub use e2esim::{run_e2e, run_e2e_full, E2eReport};
 pub use engine::{HwPartition, ProtocolEngine, TaskCosts, TaskKind};
+pub use fate::CellLedger;
 pub use nic::{Nic, NicEvent};
-pub use rxsim::{
-    apply_faults, run_rx, run_rx_full, CellLedger, LinkFaults, RxConfig, RxReport, RxWorkload,
-};
+pub use rxsim::{apply_faults, run_rx, run_rx_full, LinkFaults, RxConfig, RxReport, RxWorkload};
 pub use txsim::{greedy_workload, run_tx, run_tx_full, TxConfig, TxPacket, TxReport};

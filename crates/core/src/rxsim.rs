@@ -33,14 +33,24 @@
 //! validation/DMA/completion, exactly as a real design must prioritise —
 //! a cell not consumed is lost, while a completion can wait.
 //!
-//! The expiry timer is modelled as background bookkeeping: purges free
+//! Each frame's fate — straggler, EPD/PPD admission, pool append,
+//! end-of-frame validation, expiry, the end-of-run drain — is decided by
+//! the shared frame-fate machine ([`FrameFates`]), the same one the
+//! closed-loop transport drives, so the two models cannot drift apart.
+//! This module keeps what is particular to the open-loop pipeline: the
+//! input FIFO, the engine's task priorities, delivery DMA over the bus,
+//! and the expiry tick's cadence.
+//!
+//! The expiry timer is modelled as background bookkeeping: a tick every
+//! half timeout while any frame is under reassembly. Purges free
 //! buffers at the simulated instant they happen but consume no engine
 //! time and never extend the measured span (`run_end`), so a faultless
 //! run's report is byte-identical with the timer armed or not.
 
-use crate::bufpool::{BufferPool, DiscardPolicy, PoolConfig, PoolError};
+use crate::bufpool::{DiscardPolicy, PoolConfig};
 use crate::bus::{Bus, BusConfig};
 use crate::engine::{HwPartition, ProtocolEngine, TaskKind};
+use crate::fate::{Arrival, CellLedger, Delivery, FrameFates};
 use hni_aal::AalType;
 use hni_sim::{BusFaultPlan, Duration, EventQueue, FaultInjector, FaultPlan, Summary, Time};
 use hni_sonet::LineRate;
@@ -199,75 +209,6 @@ impl RxWorkload {
             t += interval;
         }
         RxWorkload { arrivals, pkts }
-    }
-}
-
-/// Per-cell conservation ledger: every cell the link injected ends in
-/// exactly one bucket, so `reconciles()` is the chaos-test invariant.
-///
-/// Closed-loop transports (`hni-transport`) inject the same cell's
-/// payload more than once: a retransmitted frame is a *new* set of
-/// cells on the wire, each owed its own fate. Two extra fields keep the
-/// invariant exact under recovery: `injected_retx` records provenance
-/// (how many of `injected` were retransmissions — a subset, not a
-/// fate), and `discarded_superseded` is the fate of cells that arrived
-/// intact for a frame some earlier copy had already delivered.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CellLedger {
-    /// Cells injected at the far end (arrivals + link losses).
-    pub injected: u64,
-    /// Of `injected`, cells that were retransmissions (second or later
-    /// copies of a frame sent by a closed-loop transport). Provenance,
-    /// not a fate: these cells still land in exactly one bucket below.
-    pub injected_retx: u64,
-    /// Cells the link itself dropped (never reached the interface).
-    pub dropped_link: u64,
-    /// Cells lost to input-FIFO overrun.
-    pub dropped_fifo: u64,
-    /// Cells lost to buffer-pool exhaustion (drop-tail).
-    pub dropped_pool: u64,
-    /// Cells refused by Early Packet Discard.
-    pub discarded_epd: u64,
-    /// Cells cut (refused or reclaimed) by Partial Packet Discard.
-    pub discarded_ppd: u64,
-    /// Straggler cells for frames already resolved.
-    pub discarded_stale: u64,
-    /// Cells of frames that failed end-of-frame validation.
-    pub discarded_crc: u64,
-    /// Cells of chains purged by the reassembly-expiry timer.
-    pub discarded_expired: u64,
-    /// Cells of doomed frames abandoned at end of frame (or when the
-    /// run drained with the expiry timer disabled).
-    pub discarded_abandoned: u64,
-    /// Cells of frames that reassembled and validated intact but whose
-    /// payload an earlier transmission had already delivered (spurious
-    /// retransmission or wire duplication under a closed-loop
-    /// transport). The receiver acks and discards them.
-    pub discarded_superseded: u64,
-    /// Cells that reached host memory inside a delivered frame.
-    pub delivered_cells: u64,
-}
-
-impl CellLedger {
-    /// Sum of every disposition bucket.
-    pub fn accounted(&self) -> u64 {
-        self.dropped_link
-            + self.dropped_fifo
-            + self.dropped_pool
-            + self.discarded_epd
-            + self.discarded_ppd
-            + self.discarded_stale
-            + self.discarded_crc
-            + self.discarded_expired
-            + self.discarded_abandoned
-            + self.discarded_superseded
-            + self.delivered_cells
-    }
-
-    /// The conservation invariant: no cell unaccounted, none counted
-    /// twice, and retransmit provenance never exceeds what was injected.
-    pub fn reconciles(&self) -> bool {
-        self.accounted() == self.injected && self.injected_retx <= self.injected
     }
 }
 
@@ -432,24 +373,10 @@ enum REv {
     ExpiryTick,
 }
 
-struct PktState {
-    cells_seen: usize,
-    /// Cells currently stored in the frame's reassembly chain.
-    retained: usize,
-    first_arrival: Option<Time>,
-    /// Last cell arrival for this frame (expiry clock).
-    last_activity: Time,
-    doomed: bool,
-    /// The frame reached a final disposition (delivered or failed);
-    /// anything arriving later is a straggler.
-    resolved: bool,
-    /// The final cell has been consumed — the frame left reassembly
-    /// and is no longer the expiry timer's business.
-    eof_reached: bool,
-    /// The link damaged at least one of its cells.
-    corrupt: bool,
-    bursts_issued: u32,
-    bursts_total: u32,
+/// A delivered frame's DMA progress.
+struct Dma {
+    issued: u32,
+    total: u32,
 }
 
 /// Run the receive pipeline over a workload.
@@ -497,31 +424,28 @@ pub fn run_rx_full(
     };
     let engine = ProtocolEngine::new(cfg.mips, &cfg.partition);
     let mut bus = Bus::with_faults(cfg.bus, cfg.bus_faults);
-    let mut pool = BufferPool::with_policy(cfg.pool, cfg.policy);
     let mut q: EventQueue<REv> = EventQueue::new();
 
     for (i, a) in wl.arrivals.iter().enumerate() {
         q.schedule(a.at, REv::CellArrive(i));
     }
 
-    let mut pkts: Vec<PktState> = wl
+    // Frame keys are workload packet indices.
+    let mut fate = FrameFates::new(cfg.pool, cfg.policy);
+    let mut dma: Vec<Dma> = wl
         .pkts
         .iter()
-        .map(|m| PktState {
-            cells_seen: 0,
-            retained: 0,
-            first_arrival: None,
-            last_activity: Time::ZERO,
-            doomed: false,
-            resolved: false,
-            eof_reached: false,
-            corrupt: false,
-            bursts_issued: 0,
-            bursts_total: if m.len == 0 {
-                0
-            } else {
-                cfg.bus.bursts_for(m.len)
-            },
+        .enumerate()
+        .map(|(p, m)| {
+            fate.open(m.conn as u32, p, m.cells as u32);
+            Dma {
+                issued: 0,
+                total: if m.len == 0 {
+                    0
+                } else {
+                    cfg.bus.bursts_for(m.len)
+                },
+            }
         })
         .collect();
 
@@ -537,7 +461,7 @@ pub fn run_rx_full(
     let mut engine_idle_since: Option<(Time, Activity)> = None;
     let slot = cfg.rate.cell_slot_time();
 
-    let mut ledger = CellLedger {
+    fate.ledger = CellLedger {
         injected: wl.arrivals.len() as u64 + link.dropped,
         dropped_link: link.dropped,
         ..CellLedger::default()
@@ -545,7 +469,6 @@ pub fn run_rx_full(
     let mut completions = vec![None; wl.pkts.len()];
     let mut delivered_packets = 0u64;
     let mut delivered_octets = 0u64;
-    let mut failed_packets = 0u64;
     let mut latency = Summary::new();
     let mut latency_hist = HdrHist::new();
     let mut tail = TailReservoir::paper();
@@ -631,21 +554,6 @@ pub fn run_rx_full(
         };
     }
 
-    // Fail a frame: release whatever it holds and mark it resolved.
-    // Callers must have moved `retained` into a ledger bucket first.
-    macro_rules! resolve_failed {
-        ($now:expr, $p:expr) => {{
-            let freed = pool.release_chain($now, $p as u32);
-            if freed > 0 && profiler.enabled() {
-                profiler.gauge(Component::RxPool, $now, pool.in_use() as u64);
-            }
-            let st = &mut pkts[$p];
-            st.resolved = true;
-            st.doomed = true;
-            failed_packets += 1;
-        }};
-    }
-
     while let Some((now, ev)) = q.pop() {
         match ev {
             REv::CellArrive(i) => {
@@ -669,90 +577,45 @@ pub fn run_rx_full(
                             .cell(i as u64),
                     );
                 }
-                if pkts[a.pkt].resolved {
-                    // Straggler (duplicate or reordered copy arriving
-                    // after the frame reached a final disposition).
-                    ledger.discarded_stale += 1;
-                    if tracer.enabled() {
-                        tracer.record(
-                            TraceEvent::instant(now, Stage::RxStaleDiscard)
-                                .vc(conn)
-                                .pkt(a.pkt)
-                                .cell(i as u64)
-                                .arg(1),
-                        );
-                    }
-                } else {
-                    let starts_frame = pkts[a.pkt].first_arrival.is_none();
-                    {
-                        let st = &mut pkts[a.pkt];
-                        if starts_frame {
-                            st.first_arrival = Some(now);
-                        }
-                        st.last_activity = now;
-                        if a.corrupted {
-                            st.corrupt = true;
+                let arrival = fate.arrive(now, a.pkt, i as u64, a.corrupted, tracer);
+                if arrival.starts_frame() && expiry_on && !tick_pending {
+                    q.schedule_in(cfg.reassembly_timeout, REv::ExpiryTick);
+                    tick_pending = true;
+                }
+                match arrival {
+                    Arrival::Stale => {}
+                    Arrival::Refused { .. } => {
+                        if a.is_last {
+                            // The frame's end came and went unseen.
+                            fate.seal(now, a.pkt, profiler);
                         }
                     }
-                    if starts_frame && expiry_on && !tick_pending {
-                        q.schedule_in(cfg.reassembly_timeout, REv::ExpiryTick);
-                        tick_pending = true;
-                    }
-                    match pool.admit(a.pkt as u32, starts_frame) {
-                        Err(why @ (PoolError::EarlyDiscard | PoolError::PartialDiscard)) => {
-                            let stage = if why == PoolError::EarlyDiscard {
-                                ledger.discarded_epd += 1;
-                                Stage::RxEpdDiscard
-                            } else {
-                                ledger.discarded_ppd += 1;
-                                Stage::RxPpdDiscard
-                            };
-                            if tracer.enabled() {
-                                tracer.record(
-                                    TraceEvent::instant(now, stage)
-                                        .vc(conn)
-                                        .pkt(a.pkt)
-                                        .cell(i as u64)
-                                        .arg(1),
-                                );
-                            }
-                            if a.is_last {
-                                // The frame's end came and went unseen:
-                                // it can never validate.
-                                pkts[a.pkt].eof_reached = true;
-                                resolve_failed!(now, a.pkt);
-                            }
+                    Arrival::Admitted { .. } if fifo.len() >= cfg.fifo_cells => {
+                        fate.ledger.dropped_fifo += 1;
+                        fate.doom(a.pkt);
+                        if tracer.enabled() {
+                            tracer.record(
+                                TraceEvent::instant(now, Stage::RxFifoDrop)
+                                    .vc(conn)
+                                    .pkt(a.pkt)
+                                    .cell(i as u64),
+                            );
                         }
-                        // `admit` never reports Exhausted; drop-tail
-                        // pressure shows up at append time instead.
-                        Ok(()) | Err(PoolError::Exhausted) => {
-                            if fifo.len() >= cfg.fifo_cells {
-                                ledger.dropped_fifo += 1;
-                                pkts[a.pkt].doomed = true;
-                                if tracer.enabled() {
-                                    tracer.record(
-                                        TraceEvent::instant(now, Stage::RxFifoDrop)
-                                            .vc(conn)
-                                            .pkt(a.pkt)
-                                            .cell(i as u64),
-                                    );
-                                }
-                            } else {
-                                fifo.push_back((a.pkt, a.is_last));
-                                fifo_peak = fifo_peak.max(fifo.len() as u64);
-                                if profiler.enabled() {
-                                    profiler.gauge(Component::RxFifo, now, fifo.len() as u64);
-                                }
-                                if tracer.enabled() {
-                                    tracer.record(
-                                        TraceEvent::instant(now, Stage::RxFifoEnqueue)
-                                            .vc(conn)
-                                            .pkt(a.pkt)
-                                            .cell(i as u64)
-                                            .arg(fifo.len() as u64),
-                                    );
-                                }
-                            }
+                    }
+                    Arrival::Admitted { .. } => {
+                        fifo.push_back((a.pkt, a.is_last));
+                        fifo_peak = fifo_peak.max(fifo.len() as u64);
+                        if profiler.enabled() {
+                            profiler.gauge(Component::RxFifo, now, fifo.len() as u64);
+                        }
+                        if tracer.enabled() {
+                            tracer.record(
+                                TraceEvent::instant(now, Stage::RxFifoEnqueue)
+                                    .vc(conn)
+                                    .pkt(a.pkt)
+                                    .cell(i as u64)
+                                    .arg(fifo.len() as u64),
+                            );
                         }
                     }
                 }
@@ -767,81 +630,17 @@ pub fn run_rx_full(
                         if tracer.enabled() {
                             tracer.record(TraceEvent::exit(now, Stage::RxCell).vc(conn).pkt(p));
                         }
-                        if pkts[p].resolved {
-                            // The frame was resolved while this cell sat
-                            // in the FIFO; its chain is gone.
-                            ledger.discarded_stale += 1;
-                            if tracer.enabled() {
-                                tracer.record(
-                                    TraceEvent::instant(now, Stage::RxStaleDiscard)
-                                        .vc(conn)
-                                        .pkt(p)
-                                        .arg(1),
-                                );
-                            }
-                        } else {
-                            pkts[p].cells_seen += 1;
-                            let result = pool.append_cell(now, p as u32);
-                            let mut ppd_charge = 0u64;
-                            match result {
-                                Ok(()) => pkts[p].retained += 1,
-                                Err(PoolError::Exhausted) => {
-                                    ledger.dropped_pool += 1;
-                                    pkts[p].doomed = true;
+                        if fate.store(now, p, tracer, profiler) && is_last {
+                            if let Some(seen) = fate.seal(now, p, profiler) {
+                                if tracer.enabled() {
+                                    tracer.record(
+                                        TraceEvent::instant(now, Stage::RxReasmComplete)
+                                            .vc(conn)
+                                            .pkt(p)
+                                            .arg(seen as u64),
+                                    );
                                 }
-                                Err(PoolError::PartialDiscard) => {
-                                    // On the triggering cell PPD reclaims
-                                    // the frame's whole stored chain
-                                    // (`retained` > 0 only then); the
-                                    // follow-ups cost one cell each.
-                                    let st = &mut pkts[p];
-                                    ppd_charge = st.retained as u64 + 1;
-                                    ledger.discarded_ppd += ppd_charge;
-                                    st.retained = 0;
-                                    st.doomed = true;
-                                }
-                                Err(PoolError::EarlyDiscard) => {
-                                    ledger.discarded_epd += 1;
-                                    pkts[p].doomed = true;
-                                }
-                            }
-                            if profiler.enabled() {
-                                profiler.gauge(Component::RxPool, now, pool.in_use() as u64);
-                            }
-                            if tracer.enabled() {
-                                let st = &pkts[p];
-                                let (stage, arg) = match result {
-                                    Ok(()) => (Stage::RxReasmAppend, st.cells_seen as u64),
-                                    Err(PoolError::Exhausted) => {
-                                        (Stage::RxPoolDrop, st.cells_seen as u64)
-                                    }
-                                    Err(PoolError::PartialDiscard) => {
-                                        (Stage::RxPpdDiscard, ppd_charge)
-                                    }
-                                    Err(PoolError::EarlyDiscard) => (Stage::RxEpdDiscard, 1),
-                                };
-                                tracer.record(
-                                    TraceEvent::instant(now, stage).vc(conn).pkt(p).arg(arg),
-                                );
-                            }
-                            if is_last {
-                                pkts[p].eof_reached = true;
-                                if pkts[p].doomed {
-                                    // Abandon: free whatever was chained.
-                                    ledger.discarded_abandoned += pkts[p].retained as u64;
-                                    pkts[p].retained = 0;
-                                    resolve_failed!(now, p);
-                                } else {
-                                    if tracer.enabled() {
-                                        tracer.record(
-                                            TraceEvent::instant(now, Stage::RxReasmComplete)
-                                                .vc(conn)
-                                                .pkt(p)
-                                                .arg(pkts[p].cells_seen as u64),
-                                        );
-                                    }
-                                    task_q.push_back(RTask::Validate(p));
-                                }
+                                task_q.push_back(RTask::Validate(p));
                             }
                         }
                     }
@@ -853,30 +652,12 @@ pub fn run_rx_full(
                                     .pkt(p),
                             );
                         }
-                        let expected = wl.pkts[p].cells;
-                        let st = &pkts[p];
-                        if !st.resolved && (st.doomed || st.corrupt || st.cells_seen != expected) {
-                            // The CRC-32 catch-all: damaged payload, or a
-                            // cell count the length field contradicts
-                            // (duplicate slipped in / straggler missing).
-                            let retained = pkts[p].retained as u64;
-                            ledger.discarded_crc += retained;
-                            pkts[p].retained = 0;
-                            if tracer.enabled() {
-                                tracer.record(
-                                    TraceEvent::instant(now, Stage::RxValidateFail)
-                                        .vc(wl.pkts[p].conn as u32)
-                                        .pkt(p)
-                                        .arg(retained),
-                                );
-                            }
-                            resolve_failed!(now, p);
-                        } else if !st.resolved {
-                            let st = &mut pkts[p];
-                            if st.bursts_total == 0 {
+                        if fate.validate(now, p, tracer, profiler) {
+                            let d = &mut dma[p];
+                            if d.total == 0 {
                                 task_q.push_back(RTask::Complete(p));
                             } else if engine.partition.in_hardware(TaskKind::RxDmaBurst) {
-                                st.bursts_issued += 1;
+                                d.issued += 1;
                                 let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), 0);
                                 let done = bus.grant_profiled(
                                     now,
@@ -888,13 +669,13 @@ pub fn run_rx_full(
                                 bursts_in_flight += 1;
                                 q.schedule(done, REv::BusDone(p));
                             } else {
-                                st.bursts_issued += 1;
+                                d.issued += 1;
                                 task_q.push_back(RTask::Burst(p));
                             }
                         }
                     }
                     RTask::Burst(p) => {
-                        let bi = pkts[p].bursts_issued - 1;
+                        let bi = dma[p].issued - 1;
                         let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), bi);
                         let done = bus.grant_profiled(
                             now,
@@ -918,19 +699,12 @@ pub fn run_rx_full(
                                     .arg(meta.len as u64),
                             );
                         }
-                        pool.release_chain(now, p as u32);
-                        if profiler.enabled() {
-                            profiler.gauge(Component::RxPool, now, pool.in_use() as u64);
-                        }
-                        let st = &mut pkts[p];
-                        ledger.delivered_cells += st.retained as u64;
-                        st.retained = 0;
-                        st.resolved = true;
+                        fate.deliver(now, p, Delivery::Host, profiler);
                         delivered_packets += 1;
                         delivered_octets += meta.len as u64;
                         finished_at = now;
                         completions[p] = Some(now);
-                        if let Some(t0) = pkts[p].first_arrival {
+                        if let Some(t0) = fate.first_activity(p) {
                             let lat = now.saturating_since(t0);
                             latency.record_us(lat);
                             latency_hist.record_duration(lat);
@@ -948,14 +722,14 @@ pub fn run_rx_full(
                         TraceEvent::instant(now, Stage::RxDmaBurst)
                             .vc(wl.pkts[p].conn as u32)
                             .pkt(p)
-                            .arg(pkts[p].bursts_issued as u64),
+                            .arg(dma[p].issued as u64),
                     );
                 }
-                let st = &mut pkts[p];
-                if st.bursts_issued < st.bursts_total {
-                    st.bursts_issued += 1;
+                let d = &mut dma[p];
+                if d.issued < d.total {
+                    d.issued += 1;
                     if engine.partition.in_hardware(TaskKind::RxDmaBurst) {
-                        let bi = st.bursts_issued - 1;
+                        let bi = d.issued - 1;
                         let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), bi);
                         let done = bus.grant_profiled(
                             now,
@@ -977,32 +751,7 @@ pub fn run_rx_full(
             REv::ExpiryTick => {
                 // Background purge: no engine time, no `last_event`.
                 tick_pending = false;
-                let mut any_waiting = false;
-                let mut expired = Vec::new();
-                for (p, st) in pkts.iter().enumerate() {
-                    if st.resolved || st.eof_reached || st.first_arrival.is_none() {
-                        continue;
-                    }
-                    if now.saturating_since(st.last_activity) >= cfg.reassembly_timeout {
-                        expired.push(p);
-                    } else {
-                        any_waiting = true;
-                    }
-                }
-                for p in expired {
-                    let retained = pkts[p].retained as u64;
-                    ledger.discarded_expired += retained;
-                    pkts[p].retained = 0;
-                    if tracer.enabled() {
-                        tracer.record(
-                            TraceEvent::instant(now, Stage::RxReasmExpire)
-                                .vc(wl.pkts[p].conn as u32)
-                                .pkt(p)
-                                .arg(retained),
-                        );
-                    }
-                    resolve_failed!(now, p);
-                }
+                let any_waiting = fate.expire(now, cfg.reassembly_timeout, tracer, profiler);
                 if any_waiting {
                     // Half-timeout cadence bounds detection latency at
                     // 1.5 × the timeout without per-frame timers.
@@ -1020,17 +769,8 @@ pub fn run_rx_full(
     // With the expiry timer disabled, frames stalled mid-reassembly are
     // still open when the queue drains; account them so the ledger
     // always reconciles.
-    let abandoned: Vec<usize> = pkts
-        .iter()
-        .enumerate()
-        .filter(|(_, st)| !st.resolved && st.first_arrival.is_some())
-        .map(|(p, _)| p)
-        .collect();
-    for p in abandoned {
-        ledger.discarded_abandoned += pkts[p].retained as u64;
-        pkts[p].retained = 0;
-        resolve_failed!(end, p);
-    }
+    fate.drain(end, profiler);
+    let mut failed_packets = fate.failed_frames();
     if link.dropped > 0 {
         // Packets whose every cell the link swallowed never started at
         // the interface; they still failed end to end.
@@ -1038,17 +778,15 @@ pub fn run_rx_full(
         for a in &offered.arrivals {
             sent[a.pkt] = true;
         }
-        failed_packets += pkts
-            .iter()
-            .zip(&sent)
-            .filter(|(st, &sent)| sent && st.first_arrival.is_none())
+        failed_packets += (0..wl.pkts.len())
+            .filter(|&p| sent[p] && fate.first_activity(p).is_none())
             .count() as u64;
     }
     let elapsed_s = end.saturating_since(Time::ZERO).as_s_f64();
     RxReport {
         cells_offered: wl.arrivals.len() as u64,
-        dropped_fifo: ledger.dropped_fifo,
-        dropped_pool: ledger.dropped_pool,
+        dropped_fifo: fate.ledger.dropped_fifo,
+        dropped_pool: fate.ledger.dropped_pool,
         delivered_packets,
         delivered_octets,
         failed_packets,
@@ -1064,15 +802,15 @@ pub fn run_rx_full(
         },
         bus_util: bus.utilization(end),
         fifo_peak,
-        pool_peak: pool.peak_in_use(),
-        pool_mean: pool.mean_in_use(end),
+        pool_peak: fate.pool().peak_in_use(),
+        pool_mean: fate.pool().mean_in_use(end),
         packet_latency_us: latency,
         latency_hist,
         tail,
         vc_cells,
         finished_at,
         run_end: end,
-        ledger,
+        ledger: fate.ledger,
         completions,
         link,
     }

@@ -26,20 +26,27 @@
 //!
 //! ## Abstractions
 //!
+//! Frame fates are not modelled here: each transmission attempt is one
+//! frame of the receive-side frame-fate machine `rxsim` also drives
+//! ([`FrameFates`]), which owns the pool, the discard policies,
+//! validation, expiry and the ledger. The two receive models therefore
+//! agree on every fate by construction. What this module adds on top is
+//! the closed loop: the sender, acks, delay lines, the choice between
+//! delivering a frame and discarding it as superseded, and an expiry
+//! sweep every full timeout.
+//!
 //! Relative to `rxsim` the receive interface is simplified where
 //! closed-loop dynamics do not care: cells are processed at arrival
-//! (no input-FIFO or engine-instruction queueing) and delivered frames
-//! skip the bus-burst model. At WAN and satellite scales the round
-//! trip dominates those microseconds by three to six orders of
-//! magnitude; the buffer pool — the resource the discard policies
-//! govern — is modelled exactly.
+//! (no input-FIFO or engine-instruction queueing), so a frame's last
+//! cell seals and validates it at once, and delivered frames skip the
+//! bus-burst model. At WAN and satellite scales the round trip
+//! dominates those microseconds by three to six orders of magnitude.
 
 use std::collections::VecDeque;
 
 use hni_aal::AalType;
-use hni_core::bufpool::{BufferPool, ChainKey, PoolConfig, PoolError};
-use hni_core::rxsim::CellLedger;
-use hni_core::DiscardPolicy;
+use hni_core::fate::{Arrival, Delivery, FrameFates};
+use hni_core::{CellLedger, DiscardPolicy, PoolConfig};
 use hni_faults::{DelayLine, DelayModel, FaultInjector, FaultPlan};
 use hni_sim::{Duration, EventQueue, Time};
 use hni_sonet::LineRate;
@@ -223,20 +230,6 @@ pub struct TransportReport {
     pub ledger: CellLedger,
 }
 
-/// One frame transmission in flight toward the receiver.
-struct Attempt {
-    vc: u32,
-    seq: u32,
-    cells: u32,
-    seen: u32,
-    retained: u32,
-    started: bool,
-    corrupt: bool,
-    doomed: bool,
-    resolved: bool,
-    last_activity: Time,
-}
-
 #[derive(Clone, Copy, Debug, Default)]
 struct FrameState {
     attempts: u32,
@@ -308,13 +301,13 @@ struct Sim {
     cells_per_frame: u32,
     q: EventQueue<Ev>,
     flows: Vec<Flow>,
-    attempts: Vec<Attempt>,
-    pool: BufferPool,
+    /// Receive side: one frame per transmission attempt, keyed by the
+    /// attempt's index.
+    fate: FrameFates,
     fwd_inj: FaultInjector,
     rev_inj: FaultInjector,
     fwd_delay: DelayLine,
     rev_delay: DelayLine,
-    ledger: CellLedger,
     stats: Stats,
     rr: usize,
     link_free: Time,
@@ -322,7 +315,6 @@ struct Sim {
     rev_horizon: Time,
     tx_scheduled: bool,
     tick_pending: bool,
-    expire_floor: usize,
     last_event: Time,
     finished_at: Time,
     frame_latency: HdrHist,
@@ -370,13 +362,11 @@ impl Sim {
             cells_per_frame: cfg.cells_per_frame(),
             q: EventQueue::new(),
             flows,
-            attempts: Vec::new(),
-            pool: BufferPool::with_policy(cfg.pool, cfg.policy),
+            fate: FrameFates::new(cfg.pool, cfg.policy),
             fwd_inj: FaultInjector::seeded(cfg.fwd_plan, cfg.seed ^ 0x7A11_DA7A_0000_0001),
             rev_inj: FaultInjector::seeded(cfg.rev_plan, cfg.seed ^ 0x7A11_ACC5_0000_0002),
             fwd_delay: DelayLine::seeded(cfg.fwd_delay, cfg.seed ^ 0x7A11_DE1A_0000_0003),
             rev_delay: DelayLine::seeded(cfg.rev_delay, cfg.seed ^ 0x7A11_DE1A_0000_0004),
-            ledger: CellLedger::default(),
             stats: Stats {
                 acked_frames: 0,
                 abandoned_frames: 0,
@@ -397,7 +387,6 @@ impl Sim {
             rev_horizon: Time::ZERO,
             tx_scheduled: false,
             tick_pending: false,
-            expire_floor: 0,
             last_event: Time::ZERO,
             finished_at: Time::ZERO,
             frame_latency: HdrHist::new(),
@@ -421,14 +410,11 @@ impl Sim {
                 // Hard stop: anything still on the wire is abandoned in
                 // flight so the ledger stays exact.
                 overran = true;
-                if let Ev::Data { .. } = ev {
-                    self.ledger.discarded_abandoned += 1;
-                }
+                let mut in_flight = u64::from(matches!(ev, Ev::Data { .. }));
                 while let Some((_, ev)) = self.q.pop() {
-                    if let Ev::Data { .. } = ev {
-                        self.ledger.discarded_abandoned += 1;
-                    }
+                    in_flight += u64::from(matches!(ev, Ev::Data { .. }));
                 }
+                self.fate.abandon_in_flight(in_flight);
                 break;
             }
             match ev {
@@ -468,12 +454,7 @@ impl Sim {
             }
         }
         // Whatever never resolved still owes a fate for its stored cells.
-        for at in &mut self.attempts {
-            if !at.resolved && at.retained > 0 {
-                self.ledger.discarded_abandoned += at.retained as u64;
-                at.retained = 0;
-            }
-        }
+        self.fate.drain(self.last_event, profiler);
         let completed = !overran && self.flows.iter().all(|f| f.window.done());
         let offered = (self.cfg.n_vcs * self.cfg.frames_per_vc) as u64;
         let span_s = self.last_event.as_s_f64();
@@ -524,7 +505,7 @@ impl Sim {
             frame_latency: self.frame_latency.clone(),
             tail: self.tail.clone(),
             vc_cells: self.vc_cells.clone(),
-            ledger: self.ledger,
+            ledger: self.fate.ledger,
         }
     }
 
@@ -618,19 +599,9 @@ impl Sim {
             };
             f.frames[seq].attempts += 1;
             f.frames[seq].outstanding = false;
-            let attempt = self.attempts.len() as u32;
-            self.attempts.push(Attempt {
-                vc: vc as u32,
-                seq: seq as u32,
-                cells,
-                seen: 0,
-                retained: 0,
-                started: false,
-                corrupt: false,
-                doomed: false,
-                resolved: false,
-                last_activity: now,
-            });
+            // Telemetry labels a frame by its global index.
+            let pkt = vc * self.cfg.frames_per_vc + seq;
+            let attempt = self.fate.open(vc as u32, pkt, cells) as u32;
             self.stats.attempts += 1;
             if retx {
                 self.stats.retransmits += 1;
@@ -652,13 +623,13 @@ impl Sim {
         if is_last {
             f.cur = None;
         }
-        self.ledger.injected += 1;
+        self.fate.ledger.injected += 1;
         if retx {
-            self.ledger.injected_retx += 1;
+            self.fate.ledger.injected_retx += 1;
         }
         let fate = self.fwd_inj.fate(CELL_BITS);
         if fate.lost {
-            self.ledger.dropped_link += 1;
+            self.fate.ledger.dropped_link += 1;
         } else {
             let corrupted = !fate.flipped_bits.is_empty();
             // Jitter varies per-cell delay, but the wire is FIFO: an
@@ -683,9 +654,9 @@ impl Sim {
                 // The wire made a copy: it owes its own fate, arrives
                 // one slot later and is never the frame's end (the
                 // inflated cell count is validation's problem).
-                self.ledger.injected += 1;
+                self.fate.ledger.injected += 1;
                 if retx {
-                    self.ledger.injected_retx += 1;
+                    self.fate.ledger.injected_retx += 1;
                 }
                 self.q.schedule(
                     arrive + self.slot,
@@ -853,9 +824,8 @@ impl Sim {
         tracer: &mut dyn Tracer,
         profiler: &mut dyn Profiler,
     ) {
-        let ai = attempt as usize;
-        let conn = self.attempts[ai].vc;
-        let gidx = self.frame_id(ai);
+        let key = attempt as usize;
+        let (conn, pkt) = self.fate.label(key);
         // Always-on per-VC accounting at the wire, as in `rxsim`.
         self.vc_cells.record_cell(conn, 53);
         if profiler.enabled() {
@@ -866,146 +836,32 @@ impl Sim {
             tracer.record(
                 TraceEvent::instant(now, Stage::RxCellArrive)
                     .vc(conn)
-                    .pkt(gidx)
+                    .pkt(pkt)
                     .cell(cell as u64),
             );
         }
-        if self.attempts[ai].resolved {
-            // Straggler for an attempt already resolved (late reordered
-            // copy, duplicate, or a tail behind an expired chain).
-            self.ledger.discarded_stale += 1;
-            if tracer.enabled() {
-                tracer.record(
-                    TraceEvent::instant(now, Stage::RxStaleDiscard)
-                        .vc(conn)
-                        .pkt(gidx)
-                        .cell(cell as u64)
-                        .arg(1),
-                );
-            }
-            return;
-        }
-        let starts_frame = {
-            let at = &mut self.attempts[ai];
-            let starts = !at.started;
-            at.started = true;
-            at.last_activity = now;
-            at.seen += 1;
-            if corrupted {
-                at.corrupt = true;
-            }
-            starts
-        };
-        if starts_frame && !self.tick_pending {
+        let arrival = self.fate.arrive(now, key, cell as u64, corrupted, tracer);
+        if arrival.starts_frame() && !self.tick_pending {
             self.q
                 .schedule(now + self.cfg.reassembly_timeout, Ev::Expire);
             self.tick_pending = true;
         }
-        match self.pool.admit(attempt as ChainKey, starts_frame) {
-            Err(why @ (PoolError::EarlyDiscard | PoolError::PartialDiscard)) => {
-                let stage = if why == PoolError::EarlyDiscard {
-                    self.ledger.discarded_epd += 1;
-                    Stage::RxEpdDiscard
-                } else {
-                    self.ledger.discarded_ppd += 1;
-                    Stage::RxPpdDiscard
-                };
-                self.attempts[ai].doomed = true;
-                if tracer.enabled() {
-                    tracer.record(
-                        TraceEvent::instant(now, stage)
-                            .vc(conn)
-                            .pkt(gidx)
-                            .cell(cell as u64)
-                            .arg(1),
-                    );
-                }
-                if is_last {
-                    // The frame's end came and went unseen: it can
-                    // never validate. No ack — the sender's timer or
-                    // later dup acks recover it.
-                    self.resolve_failed(now, ai, profiler);
-                }
-            }
-            // `admit` never reports Exhausted; drop-tail pressure shows
-            // up at append time instead.
-            Ok(()) | Err(PoolError::Exhausted) => {
-                let result = self.pool.append_cell(now, attempt as ChainKey);
-                let mut ppd_charge = 0u64;
-                match result {
-                    Ok(()) => self.attempts[ai].retained += 1,
-                    Err(PoolError::Exhausted) => {
-                        self.ledger.dropped_pool += 1;
-                        self.attempts[ai].doomed = true;
-                    }
-                    Err(PoolError::PartialDiscard) => {
-                        // On the triggering cell PPD reclaims the whole
-                        // stored chain; the follow-ups cost one each.
-                        let at = &mut self.attempts[ai];
-                        ppd_charge = at.retained as u64 + 1;
-                        self.ledger.discarded_ppd += ppd_charge;
-                        at.retained = 0;
-                        at.doomed = true;
-                    }
-                    Err(PoolError::EarlyDiscard) => {
-                        self.ledger.discarded_epd += 1;
-                        self.attempts[ai].doomed = true;
-                    }
-                }
-                if profiler.enabled() {
-                    profiler.gauge(Component::RxPool, now, self.pool.in_use() as u64);
-                }
-                if tracer.enabled() {
-                    let (stage, arg) = match result {
-                        Ok(()) => (Stage::RxReasmAppend, self.attempts[ai].seen as u64),
-                        Err(PoolError::Exhausted) => {
-                            (Stage::RxPoolDrop, self.attempts[ai].seen as u64)
-                        }
-                        Err(PoolError::PartialDiscard) => (Stage::RxPpdDiscard, ppd_charge),
-                        Err(PoolError::EarlyDiscard) => (Stage::RxEpdDiscard, 1),
-                    };
-                    tracer.record(TraceEvent::instant(now, stage).vc(conn).pkt(gidx).arg(arg));
-                }
-                if is_last {
-                    if self.attempts[ai].doomed {
-                        // Abandon: free whatever was chained.
-                        self.ledger.discarded_abandoned += self.attempts[ai].retained as u64;
-                        self.attempts[ai].retained = 0;
-                        self.resolve_failed(now, ai, profiler);
-                    } else if self.attempts[ai].corrupt
-                        || self.attempts[ai].seen != self.attempts[ai].cells
-                    {
-                        // The CRC-32 catch-all: damaged payload, or a
-                        // cell count the length field contradicts.
-                        let retained = self.attempts[ai].retained as u64;
-                        self.ledger.discarded_crc += retained;
-                        self.attempts[ai].retained = 0;
-                        if tracer.enabled() {
-                            tracer.record(
-                                TraceEvent::instant(now, Stage::RxValidateFail)
-                                    .vc(conn)
-                                    .pkt(gidx)
-                                    .arg(retained),
-                            );
-                        }
-                        self.resolve_failed(now, ai, profiler);
-                    } else {
-                        self.complete_attempt(now, ai, tracer, profiler);
-                    }
-                }
+        match arrival {
+            Arrival::Stale => return,
+            Arrival::Refused { .. } => {}
+            Arrival::Admitted { .. } => {
+                self.fate.store(now, key, tracer, profiler);
             }
         }
-    }
-
-    /// Fail an attempt: release whatever it holds and mark it resolved.
-    /// Callers must have moved `retained` into a ledger bucket first.
-    fn resolve_failed(&mut self, now: Time, ai: usize, profiler: &mut dyn Profiler) {
-        let freed = self.pool.release_chain(now, ai as ChainKey);
-        if freed > 0 && profiler.enabled() {
-            profiler.gauge(Component::RxPool, now, self.pool.in_use() as u64);
+        // Cells are processed at arrival, so the last one seals and
+        // validates the frame at once. A frame that fails gets no ack:
+        // the sender's timer or later duplicate acks recover it.
+        if is_last
+            && self.fate.seal(now, key, profiler).is_some()
+            && self.fate.validate(now, key, tracer, profiler)
+        {
+            self.complete_attempt(now, key, tracer, profiler);
         }
-        self.attempts[ai].resolved = true;
-        self.attempts[ai].doomed = true;
     }
 
     /// An attempt reassembled and validated intact: deliver (or discard
@@ -1013,52 +869,48 @@ impl Sim {
     fn complete_attempt(
         &mut self,
         now: Time,
-        ai: usize,
+        key: usize,
         tracer: &mut dyn Tracer,
         profiler: &mut dyn Profiler,
     ) {
-        let conn = self.attempts[ai].vc;
-        let gidx = self.frame_id(ai);
-        self.pool.release_chain(now, ai as ChainKey);
-        if profiler.enabled() {
-            profiler.gauge(Component::RxPool, now, self.pool.in_use() as u64);
-        }
-        let retained = self.attempts[ai].retained as u64;
-        self.attempts[ai].retained = 0;
-        self.attempts[ai].resolved = true;
+        let (conn, pkt) = self.fate.label(key);
+        let vc = conn as usize;
+        let seq = pkt % self.cfg.frames_per_vc;
+        // An earlier copy already reached the host: same cells, second
+        // fate — the superseded bucket keeps the ledger exact.
+        let to = if self.flows[vc].delivered[seq] {
+            Delivery::Superseded
+        } else {
+            Delivery::Host
+        };
+        self.fate.deliver(now, key, to, profiler);
         if tracer.enabled() {
             tracer.record(
                 TraceEvent::instant(now, Stage::RxReasmComplete)
                     .vc(conn)
-                    .pkt(gidx)
-                    .arg(self.attempts[ai].cells as u64),
+                    .pkt(pkt)
+                    .arg(self.cells_per_frame as u64),
             );
         }
-        let vc = self.attempts[ai].vc as usize;
-        let seq = self.attempts[ai].seq as usize;
         let f = &mut self.flows[vc];
-        if f.delivered[seq] {
-            // An earlier copy already reached the host: same cells,
-            // second fate — the superseded bucket keeps it exact.
-            self.ledger.discarded_superseded += retained;
+        if to == Delivery::Superseded {
             self.stats.duplicate_frames += 1;
         } else {
             f.delivered[seq] = true;
             while f.rcv_nxt < self.cfg.frames_per_vc && f.delivered[f.rcv_nxt] {
                 f.rcv_nxt += 1;
             }
-            self.ledger.delivered_cells += retained;
             self.stats.delivered_frames += 1;
             self.stats.delivered_octets += self.cfg.frame_len as u64;
             self.finished_at = now;
             let lat = now.saturating_since(f.frames[seq].first_sent);
             self.frame_latency.record_duration(lat);
-            self.tail.record(conn, gidx as u32, lat, now);
+            self.tail.record(conn, pkt as u32, lat, now);
             if tracer.enabled() {
                 tracer.record(
                     TraceEvent::instant(now, Stage::CompletionPush)
                         .vc(conn)
-                        .pkt(gidx)
+                        .pkt(pkt)
                         .arg(self.cfg.frame_len as u64),
                 );
             }
@@ -1112,47 +964,15 @@ impl Sim {
         }
     }
 
+    /// Receive-side expiry sweep, re-armed every full timeout while any
+    /// frame is still under reassembly.
     fn on_expire(&mut self, now: Time, tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) {
         let timeout = self.cfg.reassembly_timeout;
-        let mut any_open = false;
-        for ai in self.expire_floor..self.attempts.len() {
-            if self.attempts[ai].resolved || !self.attempts[ai].started {
-                continue;
-            }
-            if now.saturating_since(self.attempts[ai].last_activity) >= timeout {
-                let retained = self.attempts[ai].retained as u64;
-                self.ledger.discarded_expired += retained;
-                self.attempts[ai].retained = 0;
-                if tracer.enabled() {
-                    tracer.record(
-                        TraceEvent::instant(now, Stage::RxReasmExpire)
-                            .vc(self.attempts[ai].vc)
-                            .pkt(self.frame_id(ai))
-                            .arg(retained),
-                    );
-                }
-                self.resolve_failed(now, ai, profiler);
-            } else {
-                any_open = true;
-            }
-        }
-        while self.expire_floor < self.attempts.len()
-            && (self.attempts[self.expire_floor].resolved
-                || !self.attempts[self.expire_floor].started)
-        {
-            self.expire_floor += 1;
-        }
-        if any_open {
+        if self.fate.expire(now, timeout, tracer, profiler) {
             self.q.schedule(now + timeout, Ev::Expire);
         } else {
             self.tick_pending = false;
         }
-    }
-
-    /// Stable frame identity for telemetry: global frame index.
-    fn frame_id(&self, ai: usize) -> usize {
-        let at = &self.attempts[ai];
-        at.vc as usize * self.cfg.frames_per_vc + at.seq as usize
     }
 }
 
@@ -1223,6 +1043,25 @@ mod tests {
         // The satellite path really is long: deliveries cannot beat the
         // one-way propagation delay.
         assert!(rep.finished_at.as_ps() > Duration::from_ms(280).as_ps());
+    }
+
+    #[test]
+    fn expiry_reaches_attempts_still_in_flight() {
+        // On a WAN path an attempt whose first cell is still in flight
+        // (or was lost) has not started when a sweep runs; the sweep
+        // must not step past it, or its chain is never expired and its
+        // cells end up abandoned at the end of the run.
+        let mut cfg = TransportConfig::paper(LineRate::Oc3);
+        cfg.window = 8;
+        cfg.fwd_plan = FaultPlan::loss(0.10);
+        cfg.rev_plan = FaultPlan::loss(0.10);
+        cfg = cfg.with_path(scenarios::wan_path());
+        cfg.max_sim_time = Duration::from_s(600);
+        cfg.seed = 1991;
+        let rep = run_transport(&cfg);
+        assert!(rep.completed);
+        assert_eq!(rep.ledger.discarded_abandoned, 0, "{:?}", rep.ledger);
+        assert!(rep.ledger.reconciles(), "{:?}", rep.ledger);
     }
 
     #[test]

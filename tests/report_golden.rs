@@ -6,8 +6,38 @@
 
 use hni_bench::{run_experiment, EXPERIMENT_IDS};
 
+#[path = "support/digest.rs"]
+mod digest;
+
+/// FNV-1a-64 of every experiment's rendering. A refactor that claims
+/// to keep behaviour must keep all twenty; a change that means to move
+/// a number updates the entry and says why.
+const REPORT_DIGESTS: [(&str, u64); 20] = [
+    ("r-t1", 0xf55dbcbe2cb009d8),
+    ("r-t2", 0xc1d1a3acc339c030),
+    ("r-t3", 0x1809b72fcd384c72),
+    ("r-t4", 0xfb79e4f1c1fb96c0),
+    ("r-t5", 0xa0a89ea74a470e98),
+    ("r-f1", 0x9f2d68025c4965a3),
+    ("r-f2", 0x86b0cd71e98c0d08),
+    ("r-f3", 0x3e827cb1f2aa4ae9),
+    ("r-f4", 0x7f68a08023b73519),
+    ("r-f5", 0xe4dffc1fbb3527e0),
+    ("r-f6", 0x8bd3cbbc11e2560b),
+    ("r-f7", 0x1a54452087f66730),
+    ("r-f8", 0x40c14361ae6c2972),
+    ("r-a1", 0xc786343fe3e28a29),
+    ("r-a2", 0xc52d79b719188de8),
+    ("r-o1", 0xb706e6aca362d70e),
+    ("r-o2", 0xfe853d4b4a7cc8b7),
+    ("r-r1", 0x22fb3cc45667700f),
+    ("r-w1", 0x6f355aa2a1125294),
+    ("r-s1", 0x33b1be5d8f4fc3f7),
+];
+
 #[test]
 fn all_experiments_render_with_headers_and_tables() {
+    let mut digests = Vec::new();
     for id in EXPERIMENT_IDS {
         let out = run_experiment(id).unwrap_or_else(|| panic!("{id} missing"));
         assert!(
@@ -16,7 +46,16 @@ fn all_experiments_render_with_headers_and_tables() {
         );
         assert!(out.contains("---"), "{id}: table separator missing");
         assert!(out.lines().count() >= 7, "{id}: suspiciously short");
+        digests.push((id, digest::fnv1a64(out.as_bytes())));
     }
+    let current: String = digests
+        .iter()
+        .map(|(id, d)| format!("    (\"{id}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        digests, REPORT_DIGESTS,
+        "a rendering changed; current digests:\n{current}"
+    );
 }
 
 #[test]

@@ -12,10 +12,16 @@ use hni_atm::VcId;
 use hni_core::e2esim::{run_e2e, run_e2e_full};
 use hni_core::rxsim::{run_rx, run_rx_full, RxConfig, RxWorkload};
 use hni_core::txsim::{greedy_workload, run_tx, run_tx_full, TxConfig};
+use hni_core::{DiscardPolicy, PoolConfig};
+use hni_faults::{scenarios, FaultPlan};
 use hni_host::{DriverCosts, HostCpu, InterruptMode, RxHostModel};
 use hni_sim::{Duration, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{NullProfiler, VecTracer};
+use hni_telemetry::{NullProfiler, Stage, VecTracer};
+use hni_transport::{run_transport_full, TransportConfig};
+
+#[path = "support/digest.rs"]
+mod digest;
 
 #[test]
 fn tx_report_identical_with_tracing_on() {
@@ -121,6 +127,46 @@ fn functional_driver_identical_with_tracing_on() {
     }
 }
 
+/// An rxsim run that exercises every receive-side frame fate: a lossy,
+/// duplicating, reordering link into a starved pool with the expiry
+/// timer armed, under the given discard policy.
+fn fate_rich_rx_trace(policy: DiscardPolicy) -> VecTracer {
+    let mut cfg = RxConfig::paper(LineRate::Oc12);
+    cfg.pool = PoolConfig {
+        total_buffers: 24,
+        cells_per_buffer: 32,
+    };
+    cfg.policy = policy;
+    cfg.reassembly_timeout = Duration::from_us(200);
+    cfg.link_faults = FaultPlan::iid(0.01, 1e-5)
+        .with_duplication(0.05)
+        .with_reorder(0.05, 8);
+    cfg.link_seed = 1991;
+    let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 16, 4, 2048, 1.0);
+    let mut tracer = VecTracer::new();
+    run_rx_full(&cfg, &wl, &mut tracer, &mut NullProfiler);
+    tracer
+}
+
+/// A lossy closed-loop transport run on a WAN path.
+fn lossy_transport_trace() -> VecTracer {
+    let mut cfg = TransportConfig::paper(LineRate::Oc3);
+    cfg.n_vcs = 2;
+    cfg.frames_per_vc = 8;
+    cfg.frame_len = 512;
+    cfg.fwd_plan = FaultPlan::loss(0.05).with_duplication(0.01);
+    cfg.rev_plan = FaultPlan::loss(0.01);
+    cfg = cfg.with_path(scenarios::wan_path());
+    cfg.seed = 1991;
+    let mut tracer = VecTracer::new();
+    run_transport_full(&cfg, &mut tracer, &mut NullProfiler);
+    tracer
+}
+
+fn stream_digest(tracer: &VecTracer) -> u64 {
+    digest::fnv1a64(hni_telemetry::jsonl::to_jsonl(tracer.events()).as_bytes())
+}
+
 #[test]
 fn rerunning_the_trace_is_deterministic() {
     // Same workload, two recordings: identical event streams, so the
@@ -136,5 +182,51 @@ fn rerunning_the_trace_is_deterministic() {
     assert_eq!(
         hni_telemetry::jsonl::to_jsonl(t1.events()),
         hni_telemetry::jsonl::to_jsonl(t2.events())
+    );
+
+    // Pinned content, not just repeatability: every receive-side frame
+    // fate (stale, pool drop, EPD, PPD, validation failure, expiry) and
+    // the closed loop's event stream must not move.
+    let mut digests = Vec::new();
+    for (policy, fate) in [
+        (DiscardPolicy::DropTail, Stage::RxPoolDrop),
+        (DiscardPolicy::Epd { threshold: 16 }, Stage::RxEpdDiscard),
+        (DiscardPolicy::Ppd, Stage::RxPpdDiscard),
+    ] {
+        let tracer = fate_rich_rx_trace(policy);
+        for stage in [
+            fate,
+            Stage::RxStaleDiscard,
+            Stage::RxValidateFail,
+            Stage::RxReasmExpire,
+        ] {
+            assert!(
+                tracer.events().iter().any(|e| e.stage == stage),
+                "{policy:?}: no {stage:?} event"
+            );
+        }
+        digests.push(stream_digest(&tracer));
+    }
+    let transport = lossy_transport_trace();
+    for stage in [
+        Stage::RxReasmExpire,
+        Stage::RxValidateFail,
+        Stage::CompletionPush,
+    ] {
+        assert!(
+            transport.events().iter().any(|e| e.stage == stage),
+            "transport: no {stage:?} event"
+        );
+    }
+    digests.push(stream_digest(&transport));
+    assert_eq!(
+        digests,
+        [
+            0x1de7_a9ad_a131_ab73, // rx drop-tail
+            0x214e_b6c3_2ffc_15e7, // rx EPD
+            0xb923_7dc7_16ad_1e14, // rx PPD
+            0xb1b4_77b8_e17d_4496, // transport
+        ],
+        "current: {digests:#018x?}"
     );
 }
