@@ -29,33 +29,23 @@ cargo run -q -p hni-bench --example trace_waterfall --release > /dev/null
 cargo run -q -p hni-bench --example profile_bottleneck --release > /dev/null
 cargo run -q -p hni-bench --bin report --release -- r-r1 > /dev/null
 
-echo "==> bench smoke: report perf --fast emits a valid BENCH_PERF.json"
-cargo run -q -p hni-bench --bin report --release -- perf --fast bench_perf_smoke.json > /dev/null
-for key in '"schema": "hni-bench-perf/1"' '"hot_loops"' '"cells_per_sec"' \
-           '"speedup"' '"cores"' '"jobs"' \
-           'aal5_sar_slab' 'hec_delineation' 'rx_reassembly' 'e2e_cells' \
-           'vc_lookup'; do
-    grep -q "$key" bench_perf_smoke.json || {
-        echo "BENCH_PERF schema: missing $key" >&2; exit 1; }
-done
-grep -q '"telemetry_overhead"' bench_perf_smoke.json || {
-    echo "BENCH_PERF schema: missing telemetry_overhead" >&2; exit 1; }
-grep -q '"reservoir_overhead"' bench_perf_smoke.json || {
-    echo "BENCH_PERF schema: missing reservoir_overhead" >&2; exit 1; }
-grep -q '"transport_overhead"' bench_perf_smoke.json || {
-    echo "BENCH_PERF schema: missing transport_overhead" >&2; exit 1; }
-
-echo "==> perf gate: hec_delineation sustains OC-12 line rate (1.47M cells/s)"
-# The burst delineator must stay comfortably past the 622.08 Mb/s line
-# cell rate (622.08e6 / 424 = 1,467,170 cells/s) even in fast mode.
-hec_rate=$(tr ',' '\n' < bench_perf_smoke.json \
-    | sed -n '/"name": "hec_delineation"/,/"name"/p' \
-    | sed -n 's/.*"cells_per_sec": \([0-9.e+]*\).*/\1/p' | head -n 1)
-[ -n "$hec_rate" ] || { echo "perf gate: no hec_delineation rate" >&2; exit 1; }
-awk -v r="$hec_rate" 'BEGIN { exit !(r + 0 >= 1470000) }' || {
-    echo "perf gate: hec_delineation $hec_rate cells/s < OC-12 1.47M" >&2
+echo "==> perf gate: perfbench nic-bulk is correct and delineates inside OC-12's cell time"
+# A short traced run of the wall-clock benchmark on the real byte path
+# through two Nics. Delineation (Delineator::push_slice on real SONET
+# payloads) must stay inside one OC-12 cell time: 424 bits at
+# 622.08 Mb/s is 681.6 ns. perfbench exits non-zero unless every output
+# check passes, and a passing run reports only finite metrics.
+cargo run -q --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
+    --workload nic-bulk --seconds 3 --trace 1 --json perfbench_smoke.json > /dev/null || {
+    echo "perfbench nic-bulk: run failed or its result is not correct" >&2; exit 1; }
+grep -q '"correct": true' perfbench_smoke.json || {
+    echo "perfbench nic-bulk: result is not correct" >&2; exit 1; }
+delineate_ns=$(sed -n 's/.*"atm\.delineate_ns": {"value": \([^,]*\),.*/\1/p' perfbench_smoke.json)
+rm -f perfbench_smoke.json
+[ -n "$delineate_ns" ] || { echo "perf gate: no atm.delineate_ns" >&2; exit 1; }
+awk -v t="$delineate_ns" 'BEGIN { exit !(t + 0 < 681.6) }' || {
+    echo "perf gate: atm.delineate_ns $delineate_ns >= OC-12 cell time 681.6 ns" >&2
     exit 1; }
-rm -f bench_perf_smoke.json
 
 echo "==> expfmt lint: live expositions pass the conformance validator"
 for id in r-f1 r-f2 r-f3; do
@@ -87,27 +77,6 @@ HNI_JOBS=4 cargo run -q -p hni-bench --bin report --release -- \
 cmp exemplars_j1.txt exemplars_j4.txt || {
     echo "exemplar reservoir diverged across worker counts" >&2; exit 1; }
 rm -f exemplars_j1.txt exemplars_j4.txt
-
-echo "==> sentinel smoke: fresh baseline passes, doctored baseline trips"
-rm -f sentinel_smoke_history.jsonl sentinel_smoke_perf.json
-# Record a baseline, then re-check against it with a generous tolerance
-# (fast-mode timings are noisy; the exact 20%-at-tight-tolerance logic
-# is pinned by the deterministic sentinel unit tests).
-cargo run -q -p hni-bench --bin report --release -- \
-    perf --fast sentinel_smoke_perf.json --history sentinel_smoke_history.jsonl > /dev/null
-cargo run -q -p hni-bench --bin report --release -- \
-    perf --fast sentinel_smoke_perf.json --history sentinel_smoke_history.jsonl \
-    --check --tolerance 3.0 > /dev/null || {
-    echo "sentinel: fresh baseline should pass --check" >&2; exit 1; }
-# Doctor the baseline 100x faster than reality: the check must fail 2.
-sed 's/"median_ns":\([0-9]*\)\./"median_ns":0.\1/g' \
-    sentinel_smoke_history.jsonl > sentinel_smoke_doctored.jsonl
-if cargo run -q -p hni-bench --bin report --release -- \
-    perf --fast sentinel_smoke_perf.json --history sentinel_smoke_doctored.jsonl \
-    --check --tolerance 0.2 > /dev/null 2>&1; then
-    echo "sentinel: doctored baseline must trip --check" >&2; exit 1
-fi
-rm -f sentinel_smoke_history.jsonl sentinel_smoke_doctored.jsonl sentinel_smoke_perf.json
 
 echo "==> sampled trace identical across HNI_JOBS (1-in-1024, pinned seed)"
 HNI_JOBS=1 cargo run -q -p hni-bench --bin report --release -- \

@@ -16,20 +16,12 @@
 //! cargo run -p hni-bench --bin report --release -- exemplars r-f3  # slowest packets
 //! cargo run -p hni-bench --bin report --release -- diff r-f3 r-f3  # side-by-side
 //! cargo run -p hni-bench --bin report --release -- promlint r-f1   # expfmt check
-//! cargo run -p hni-bench --bin report --release -- perf             # wall-clock bench
-//! cargo run -p hni-bench --bin report --release -- perf --fast out.json
-//! cargo run -p hni-bench --bin report --release -- perf --check --tolerance 0.2
 //! ```
 //!
-//! `perf` times the implementation's hot loops and the serial-vs-
-//! parallel report sweep, writing `BENCH_PERF.json` (or the given
-//! path); `--fast` is the reduced CI smoke. Wall-clock numbers are
-//! hardware-dependent and not golden — but `perf --check` compares the
-//! run against the last same-mode record in `BENCH_HISTORY.jsonl`
-//! (`--history <path>` to override) and exits 2 if any hot loop
-//! regressed beyond `--tolerance` (default 0.2 = 20%). The record is
-//! appended to the history only when no check was requested or the
-//! check passed, so a regressed run never becomes the new baseline.
+//! Every number here is simulated time, deterministic and golden. How
+//! fast the implementation itself runs is the wall-clock benchmark's
+//! job: `perfbench` in `benchmark/`, timed through two real `Nic`s and
+//! broken down by layer (see benchmark/README.md).
 //!
 //! `trace` accepts `--sample <N>` (with optional `--seed <S>`) to thin
 //! the JSONL deterministically — the kept set is a pure function of
@@ -44,7 +36,6 @@ use hni_bench::{
     tail_report, topvc_report, trace_experiment, EXPERIMENT_IDS, HIST_IDS, PROFILE_IDS, TAIL_IDS,
     TOPVC_IDS, TRACEABLE_IDS,
 };
-use hni_telemetry::SentinelRecord;
 
 /// Resolve `args[1]` as the id a capability subcommand operates on, or
 /// exit 2 with a usage line naming the ids that support it.
@@ -207,78 +198,6 @@ fn main() {
                 std::process::exit(2);
             }
             println!("promlint {id}: {checked} exposition(s) conformant");
-        }
-        Some("perf") => {
-            let fast = args.iter().any(|a| a == "--fast");
-            let check = args.iter().any(|a| a == "--check");
-            let tolerance: f64 = flag_value(&args, "--tolerance").unwrap_or(0.2);
-            let history_path = {
-                let idx = args.iter().position(|a| a == "--history");
-                idx.and_then(|i| args.get(i + 1))
-                    .cloned()
-                    .unwrap_or_else(|| "BENCH_HISTORY.jsonl".to_string())
-            };
-            // First bare operand = output path; skip flags and the
-            // values the value-taking flags swallow.
-            let mut path = "BENCH_PERF.json";
-            let mut i = 1;
-            while i < args.len() {
-                let a = args[i].as_str();
-                if a == "--tolerance" || a == "--history" {
-                    i += 2;
-                } else if a.starts_with("--") {
-                    i += 1;
-                } else {
-                    path = a;
-                    break;
-                }
-            }
-            let report = hni_bench::perf::run_perf(fast);
-            std::fs::write(path, report.to_json())
-                .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            print!("{}", report.render());
-            println!("wrote {path}");
-
-            let record = report.sentinel_record();
-            let history = std::fs::read_to_string(&history_path).unwrap_or_default();
-            if check {
-                let Some(baseline) =
-                    SentinelRecord::last_in_history(&history, record.mode.as_str())
-                else {
-                    eprintln!(
-                        "perf --check: no '{}'-mode baseline in {history_path}; \
-                         run `report perf{}` once to record one",
-                        record.mode,
-                        if fast { " --fast" } else { "" }
-                    );
-                    std::process::exit(2);
-                };
-                let regs = hni_telemetry::sentinel::check(&baseline, &record, tolerance);
-                if !regs.is_empty() {
-                    eprint!(
-                        "{}",
-                        hni_telemetry::sentinel::render_regressions(&regs, tolerance)
-                    );
-                    eprintln!("perf --check FAILED against {history_path}");
-                    std::process::exit(2);
-                }
-                println!(
-                    "perf --check OK: no hot loop regressed beyond {:.0}% of the last {} baseline",
-                    tolerance * 100.0,
-                    record.mode
-                );
-            }
-            // Append only non-regressed runs: a failing run must never
-            // ratchet the baseline down to its own slower numbers.
-            let mut line = record.to_line();
-            line.push('\n');
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&history_path)
-                .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()))
-                .unwrap_or_else(|e| panic!("appending {history_path}: {e}"));
-            println!("appended {history_path}");
         }
         Some(id) => match run_experiment(&normalize_id(id)) {
             Some(out) => println!("{out}"),

@@ -37,8 +37,8 @@ pub fn sweep(packets: usize) -> Vec<Point> {
     sweep_with_jobs(packets, crate::jobs_from_env())
 }
 
-/// [`sweep`] with an explicit worker count — the perf harness times the
-/// serial (`jobs = 1`) and parallel grids against each other.
+/// [`sweep`] with an explicit worker count — `tests/perf_golden.rs`
+/// diffs the serial (`jobs = 1`) and parallel grids against each other.
 pub fn sweep_with_jobs(packets: usize, jobs: usize) -> Vec<Point> {
     let mut grid = Vec::new();
     for rate in [LineRate::Oc3, LineRate::Oc12] {

@@ -23,9 +23,9 @@
 //!
 //! Wall-clock lookup cost is deliberately **not** reported here — the
 //! report must be byte-identical across runs and `HNI_JOBS` worker
-//! counts. The `vc_lookup` hot loop in `report perf` times the same
-//! table shape against the wall clock and writes `cells_per_sec` into
-//! BENCH_PERF.json.
+//! counts. The wall-clock benchmark (`perfbench`, benchmark/README.md)
+//! times the same table behind the NIC's CAM as `core.cam_lookup_ns` on
+//! its `nic-mux` workload: 60,000 open VCs on the real byte path.
 //!
 //! Every point reseeds its own RNG from [`SEED`] and the point's VC
 //! count, so the parallel sweep schedule cannot leak into results.
@@ -289,9 +289,10 @@ pub fn run() -> String {
          {FRAMES_PER_POINT} AAL5 frames of {FRAME_LEN} octets reassembled per point,\n\
          {ACTIVE_FRAMES} interleaved streams, one cell per OC-12 slot.\n\n{}\n\
          Probes/lookup is the deterministic lookup-cost proxy (1.0 = home-slot\n\
-         direct); wall-clock ns/cell for the same table shape is the `vc_lookup`\n\
-         hot loop in `report perf` (BENCH_PERF.json). Goodput is simulated and\n\
-         collapses only if the table corrupts or aliases per-VC frame state.\n\n\
+         direct); wall-clock ns/cell for the same table is perfbench's\n\
+         `core.cam_lookup_ns` on `nic-mux` (benchmark/README.md). Goodput is\n\
+         simulated and collapses only if the table corrupts or aliases per-VC\n\
+         frame state.\n\n\
          {check_lines}golden verdict: {verdict}",
         t.render()
     )

@@ -12,7 +12,6 @@
 
 pub mod experiments;
 pub mod par_sweep;
-pub mod perf;
 pub mod table;
 
 pub use par_sweep::{jobs_from_env, par_sweep, par_sweep_with_jobs};

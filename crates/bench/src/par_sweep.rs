@@ -35,7 +35,7 @@ pub fn jobs_from_env() -> usize {
 }
 
 /// The machine's available parallelism (1 if it cannot be determined).
-pub fn available_cores() -> usize {
+fn available_cores() -> usize {
     thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -94,59 +94,6 @@ impl BenchmarkGroup<'_> {
     pub fn finish(&mut self) {}
 }
 
-/// One benchmark's summary statistics, for callers that want numbers
-/// back instead of a printed line (the `hni-bench` perf harness).
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchResult {
-    /// Benchmark name.
-    pub name: String,
-    /// Median per-iteration time, nanoseconds.
-    pub median_ns: f64,
-    /// Fastest sample, nanoseconds per iteration.
-    pub min_ns: f64,
-    /// Slowest sample, nanoseconds per iteration.
-    pub max_ns: f64,
-    /// Number of timed samples taken.
-    pub samples: usize,
-    /// Iterations per sample after calibration.
-    pub iters_per_sample: usize,
-}
-
-/// Time `f` with the shim's warm-up + calibration loop and return the
-/// statistics instead of printing. `target_sample_s` sets the wall time
-/// each sample aims for (the print path uses 10 ms); CI smoke runs pass
-/// something far smaller to bound total runtime.
-pub fn measure<R, F: FnMut() -> R>(
-    name: &str,
-    samples: usize,
-    target_sample_s: f64,
-    mut f: F,
-) -> BenchResult {
-    let samples = samples.max(1);
-    // Warm-up plus iteration-count calibration.
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    let once = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((target_sample_s / once) as usize).clamp(1, 1_000_000);
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        times.push(t.elapsed().as_secs_f64() * 1e9 / iters as f64);
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-    BenchResult {
-        name: name.to_string(),
-        median_ns: times[times.len() / 2],
-        min_ns: times[0],
-        max_ns: times[times.len() - 1],
-        samples,
-        iters_per_sample: iters,
-    }
-}
-
 fn report(name: &str, samples: &mut [f64]) {
     if samples.is_empty() {
         println!("bench {name}: no samples");
@@ -189,21 +136,6 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn measure_returns_ordered_stats() {
-        let mut acc = 0u64;
-        let r = measure("spin", 5, 1e-5, || {
-            for k in 0..100u64 {
-                acc = acc.wrapping_add(k);
-            }
-        });
-        assert_eq!(r.name, "spin");
-        assert_eq!(r.samples, 5);
-        assert!(r.iters_per_sample >= 1);
-        assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
-        assert!(r.min_ns > 0.0);
-    }
 
     #[test]
     fn bench_function_runs_and_reports() {

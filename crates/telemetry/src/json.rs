@@ -1,12 +1,11 @@
 //! The workspace's one JSON string escaper.
 //!
 //! The workspace has no JSON dependency by policy (offline builds,
-//! vendored shims), so every JSON emitter — trace JSONL, the
-//! `BENCH_PERF.json` writer, the perf-sentinel history — hand-rolls its
-//! document structure. String escaping is the one part that must not be
-//! hand-rolled per call site: a stray quote or control character in a
-//! name would corrupt the whole document. This module is the single
-//! shared implementation (RFC 8259 §7):
+//! vendored shims), so its JSON emitter — the trace JSONL export —
+//! hand-rolls its document structure. String escaping is the one part
+//! that must not be hand-rolled per call site: a stray quote or control
+//! character in a name would corrupt the whole document. This module is
+//! the single shared implementation (RFC 8259 §7):
 //!
 //! * `"` and `\` are backslash-escaped;
 //! * control characters U+0000..U+001F use the short forms

@@ -50,9 +50,6 @@
 //!   keep/drop decision is a pure function of cell identity, so
 //!   sampled traces are byte-identical across reruns and worker
 //!   counts.
-//! * [`sentinel`] — the perf-regression sentinel behind
-//!   `report perf --check`: `BENCH_HISTORY.jsonl` records and the
-//!   tolerance comparison.
 //! * [`json`] — the workspace's single JSON string escaper, shared by
 //!   every hand-rolled JSON writer.
 //!
@@ -82,7 +79,6 @@ pub mod metrics;
 pub mod profiler;
 pub mod reservoir;
 pub mod sampler;
-pub mod sentinel;
 pub mod spans;
 pub mod tailattr;
 pub mod timeseries;
@@ -99,7 +95,6 @@ pub use profiler::{
 };
 pub use reservoir::{Exemplar, TailReservoir};
 pub use sampler::SamplingTracer;
-pub use sentinel::{LoopSample, Regression, SentinelRecord};
 pub use spans::{PacketLife, PacketSpans, SpanStage, STAGE_LABELS};
 pub use tailattr::{attribute_tail, StageShare, TailAttribution};
 pub use timeseries::TimeSeries;

@@ -4,7 +4,11 @@
 //! rendering regressions (a renamed column, a dropped row) that unit
 //! tests of the underlying numbers would not catch.
 
-use hni_bench::{run_experiment, EXPERIMENT_IDS};
+use hni_bench::{
+    bottleneck_report, diff_report, exemplars_report, folded_report, hist_report,
+    metrics_experiment, prom_report, run_experiment, sampled_trace_experiment, tail_report,
+    topvc_report, trace_experiment, EXPERIMENT_IDS,
+};
 
 #[path = "support/digest.rs"]
 mod digest;
@@ -32,7 +36,8 @@ const REPORT_DIGESTS: [(&str, u64); 20] = [
     ("r-o2", 0xfe853d4b4a7cc8b7),
     ("r-r1", 0x22fb3cc45667700f),
     ("r-w1", 0x6f355aa2a1125294),
-    ("r-s1", 0x33b1be5d8f4fc3f7),
+    // Footnote now names perfbench's `core.cam_lookup_ns` for wall-clock lookup cost.
+    ("r-s1", 0x0ab2cf152ce3194b),
 ];
 
 #[test]
@@ -56,6 +61,104 @@ fn all_experiments_render_with_headers_and_tables() {
         digests, REPORT_DIGESTS,
         "a rendering changed; current digests:\n{current}"
     );
+}
+
+/// FNV-1a-64 of every capability rendering, keyed by the `report`
+/// arguments that print it. Same contract as [`REPORT_DIGESTS`].
+const CAPABILITY_DIGESTS: [(&str, u64); 26] = [
+    ("trace r-f1", 0x676a6ee5dda45058),
+    ("trace r-f2", 0x040c1edc1066332e),
+    ("trace r-f3", 0xf1fc7d450d65e9cd),
+    ("trace r-f1 --sample 1024 --seed 7", 0xf738e6d414c9253c),
+    ("metrics r-f1", 0xda5627166b715c8f),
+    ("metrics r-f2", 0xa0ebbb0e05f512f3),
+    ("metrics r-f3", 0x7d323fe7f9298efa),
+    ("profile r-f1", 0x67d0ef6ed7b914cc),
+    ("profile r-f2", 0xbd9eca27b1bda256),
+    ("profile r-f3", 0x44b56f4be4221b83),
+    ("bottleneck r-f1", 0xe8d19b45b1711824),
+    ("bottleneck r-f2", 0x23a33efc800e2114),
+    ("bottleneck r-f3", 0x8b5602525c237102),
+    ("prom r-f1", 0xab026e6940a08109),
+    ("prom r-f2", 0xd8a708bda6bfd3c3),
+    ("prom r-f3", 0xfbc8a74dcbaa3ee5),
+    ("hist r-f1", 0x75ed1f1a8de796f6),
+    ("hist r-f2", 0xf7fba8982e0d4316),
+    ("hist r-f3", 0x387c9fbf8e168acd),
+    ("hist r-w1", 0x8a763701fd23b686),
+    ("topvc r-f1", 0xc6c11135e9bd0f1b),
+    ("topvc r-f2", 0x33f7bc882d69379b),
+    ("topvc r-f3", 0xf88d8bceab837ff8),
+    ("tail r-f3", 0xba03989384be0df9),
+    ("exemplars r-f3", 0x0e7f9e2f68d049a1),
+    ("diff r-f3 r-f3", 0x169dff89503aaf52),
+];
+
+/// What `report <args>` prints for one capability subcommand.
+fn capability_rendering(args: &str) -> String {
+    let words: Vec<&str> = args.split(' ').collect();
+    let out = match words[..] {
+        ["trace", id] => trace_experiment(id).map(|ev| hni_telemetry::jsonl::to_jsonl(&ev)),
+        ["trace", id, "--sample", n, "--seed", s] => {
+            sampled_trace_experiment(id, n.parse().unwrap(), s.parse().unwrap())
+                .map(|ev| hni_telemetry::jsonl::to_jsonl(&ev))
+        }
+        ["metrics", id] => metrics_experiment(id),
+        ["profile", id] => folded_report(id),
+        ["bottleneck", id] => bottleneck_report(id),
+        ["prom", id] => prom_report(id),
+        ["hist", id] => hist_report(id),
+        ["topvc", id] => topvc_report(id),
+        ["tail", id] => tail_report(id),
+        ["exemplars", id] => exemplars_report(id),
+        ["diff", a, b] => diff_report(a, b).ok(),
+        _ => panic!("no capability rendering for '{args}'"),
+    };
+    out.unwrap_or_else(|| panic!("'{args}' rendered nothing"))
+}
+
+/// Check the [`CAPABILITY_DIGESTS`] entries of the given subcommands.
+fn assert_capabilities_pinned(subcommands: &[&str]) {
+    let pinned: Vec<(&str, u64)> = CAPABILITY_DIGESTS
+        .into_iter()
+        .filter(|(args, _)| subcommands.contains(&args.split(' ').next().unwrap()))
+        .collect();
+    assert!(
+        !pinned.is_empty(),
+        "no pinned renderings for {subcommands:?}"
+    );
+    let digests: Vec<(&str, u64)> = pinned
+        .iter()
+        .map(|&(args, _)| (args, digest::fnv1a64(capability_rendering(args).as_bytes())))
+        .collect();
+    let current: String = digests
+        .iter()
+        .map(|(args, d)| format!("    (\"{args}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        digests, pinned,
+        "a capability rendering changed; current digests:\n{current}"
+    );
+}
+
+#[test]
+fn trace_and_metrics_renderings_are_pinned() {
+    assert_capabilities_pinned(&["trace", "metrics"]);
+}
+
+#[test]
+fn profile_renderings_are_pinned() {
+    assert_capabilities_pinned(&["profile", "bottleneck", "prom"]);
+}
+
+#[test]
+fn histogram_and_heavy_hitter_renderings_are_pinned() {
+    assert_capabilities_pinned(&["hist", "topvc", "diff"]);
+}
+
+#[test]
+fn tail_anatomy_renderings_are_pinned() {
+    assert_capabilities_pinned(&["tail", "exemplars"]);
 }
 
 #[test]
