@@ -47,10 +47,25 @@ awk -v t="$delineate_ns" 'BEGIN { exit !(t + 0 < 681.6) }' || {
     echo "perf gate: atm.delineate_ns $delineate_ns >= OC-12 cell time 681.6 ns" >&2
     exit 1; }
 
-echo "==> expfmt lint: live expositions pass the conformance validator"
-for id in r-f1 r-f2 r-f3; do
+echo "==> expfmt lint and always-on dump for every id report list marks"
+# The ids come from the canonical-run declarations, through report list:
+# every id marked prom or hist has live expositions to lint, and every
+# id marked metrics a dump whose cell ledger must reconcile.
+list=$(cargo run -q -p hni-bench --bin report --release -- list)
+lint_ids=$(printf '%s\n' "$list" | awk '/[[ ](prom|hist)[] ]/ { print $1 }')
+metrics_ids=$(printf '%s\n' "$list" | awk '/[[ ]metrics[] ]/ { print $1 }')
+[ -n "$lint_ids" ] && [ -n "$metrics_ids" ] || {
+    echo "report list marks no prom/hist or metrics ids" >&2; exit 1; }
+for id in $lint_ids; do
     cargo run -q -p hni-bench --bin report --release -- promlint "$id" > /dev/null || {
         echo "promlint $id failed" >&2; exit 1; }
+done
+for id in $metrics_ids; do
+    dump=$(cargo run -q -p hni-bench --bin report --release -- metrics "$id") || {
+        echo "report metrics $id failed" >&2; exit 1; }
+    if printf '%s\n' "$dump" | grep '^ledger\.reconciles ' | grep -qv ' true$'; then
+        echo "report metrics $id: cell ledger does not reconcile" >&2; exit 1
+    fi
 done
 
 echo "==> tail anatomy: blame line present, diff exits, exemplars stable across HNI_JOBS"

@@ -6,7 +6,7 @@
 //! cargo run -p hni-bench --bin report --release -- list     # ids + capabilities
 //! cargo run -p hni-bench --bin report --release -- --trace r-f3      # JSONL trace
 //! cargo run -p hni-bench --bin report --release -- trace r-f3 --sample 1024
-//! cargo run -p hni-bench --bin report --release -- metrics r-f3      # metrics dump
+//! cargo run -p hni-bench --bin report --release -- metrics r-f3      # always-on plane
 //! cargo run -p hni-bench --bin report --release -- profile r-f1     # folded stacks
 //! cargo run -p hni-bench --bin report --release -- bottleneck r-f1  # attribution
 //! cargo run -p hni-bench --bin report --release -- prom r-f1        # Prometheus text
@@ -23,6 +23,12 @@
 //! job: `perfbench` in `benchmark/`, timed through two real `Nic`s and
 //! broken down by layer (see benchmark/README.md).
 //!
+//! Every capability subcommand renders an experiment's canonical run,
+//! declared once in `hni_bench::EXPERIMENTS`. `report list` marks the
+//! renderings each id's declaration offers; `diff` and `promlint`
+//! accept any id that declares a run, and everything else exits 2
+//! naming the ids that would work.
+//!
 //! `trace` accepts `--sample <N>` (with optional `--seed <S>`) to thin
 //! the JSONL deterministically — the kept set is a pure function of
 //! each event's (vc, pkt, cell) identity, so it is byte-identical
@@ -31,32 +37,27 @@
 //! Ids are case-insensitive and the hyphen is optional (`rf1` ≡ `r-f1`).
 
 use hni_bench::{
-    bottleneck_report, diff_report, exemplars_report, folded_report, hist_report,
-    metrics_experiment, normalize_id, prom_report, run_experiment, sampled_trace_experiment,
-    tail_report, topvc_report, trace_experiment, EXPERIMENT_IDS, HIST_IDS, PROFILE_IDS, TAIL_IDS,
-    TOPVC_IDS, TRACEABLE_IDS,
+    diff_report, expositions, list_line, normalize_id, renderings, run_experiment,
+    sampled_trace_experiment, EXPERIMENT_IDS, RENDERINGS,
 };
 
-/// Resolve `args[1]` as the id a capability subcommand operates on, or
-/// exit 2 with a usage line naming the ids that support it.
-fn capability_id_or_exit(args: &[String], what: &str, supported: &[&str]) -> String {
-    match args.get(1) {
-        Some(id) => normalize_id(id),
-        None => {
-            eprintln!("usage: report {what} <id>; supported ids: {supported:?}");
-            std::process::exit(2);
-        }
-    }
+/// Exit 2 with `message` and the ids whose canonical runs offer
+/// `rendering`.
+fn refuse(message: &str, rendering: &str) -> ! {
+    let supported: Vec<&str> = EXPERIMENT_IDS
+        .into_iter()
+        .filter(|id| renderings(id).contains(&rendering))
+        .collect();
+    eprintln!("{message}; supported ids: {supported:?}");
+    std::process::exit(2);
 }
 
-/// Print a capability rendering, or exit 2 with the supported set.
-fn print_or_exit(out: Option<String>, id: &str, what: &str, supported: &[&str]) {
-    match out {
-        Some(text) => print!("{text}"),
-        None => {
-            eprintln!("experiment '{id}' does not support '{what}'; supported ids: {supported:?}");
-            std::process::exit(2);
-        }
+/// Resolve `args[1]` as the id a capability subcommand operates on, or
+/// refuse with a usage line.
+fn capability_id_or_exit(args: &[String], what: &str, rendering: &str) -> String {
+    match args.get(1) {
+        Some(id) => normalize_id(id),
+        None => refuse(&format!("usage: report {what} <id>"), rendering),
     }
 }
 
@@ -83,81 +84,12 @@ fn main() {
         }
         Some("list") => {
             for id in EXPERIMENT_IDS {
-                let mut caps = Vec::new();
-                if TRACEABLE_IDS.contains(&id) {
-                    caps.extend(["trace", "metrics"]);
-                }
-                if PROFILE_IDS.contains(&id) {
-                    caps.extend(["profile", "bottleneck", "prom"]);
-                }
-                if HIST_IDS.contains(&id) {
-                    caps.push("hist");
-                }
-                if TOPVC_IDS.contains(&id) {
-                    caps.push("topvc");
-                }
-                if TAIL_IDS.contains(&id) {
-                    caps.extend(["tail", "exemplars"]);
-                }
-                if caps.is_empty() {
-                    println!("{id}");
-                } else {
-                    println!("{id}  [{}]", caps.join(" "));
-                }
+                println!("{}", list_line(id));
             }
-        }
-        Some("--trace" | "trace") => {
-            let id = capability_id_or_exit(&args, "trace", &TRACEABLE_IDS);
-            let events = match flag_value::<u64>(&args, "--sample") {
-                Some(one_in) => {
-                    let seed = flag_value::<u64>(&args, "--seed").unwrap_or(0);
-                    sampled_trace_experiment(&id, one_in, seed)
-                }
-                None => trace_experiment(&id),
-            };
-            print_or_exit(
-                events.map(|ev| hni_telemetry::jsonl::to_jsonl(&ev)),
-                &id,
-                "trace",
-                &TRACEABLE_IDS,
-            );
-        }
-        Some("metrics") => {
-            let id = capability_id_or_exit(&args, "metrics", &TRACEABLE_IDS);
-            print_or_exit(metrics_experiment(&id), &id, "metrics", &TRACEABLE_IDS);
-        }
-        Some("profile") => {
-            let id = capability_id_or_exit(&args, "profile", &PROFILE_IDS);
-            print_or_exit(folded_report(&id), &id, "profile", &PROFILE_IDS);
-        }
-        Some("bottleneck") => {
-            let id = capability_id_or_exit(&args, "bottleneck", &PROFILE_IDS);
-            print_or_exit(bottleneck_report(&id), &id, "bottleneck", &PROFILE_IDS);
-        }
-        Some("prom") => {
-            let id = capability_id_or_exit(&args, "prom", &PROFILE_IDS);
-            print_or_exit(prom_report(&id), &id, "prom", &PROFILE_IDS);
-        }
-        Some("hist") => {
-            let id = capability_id_or_exit(&args, "hist", &HIST_IDS);
-            print_or_exit(hist_report(&id), &id, "hist", &HIST_IDS);
-        }
-        Some("topvc") => {
-            let id = capability_id_or_exit(&args, "topvc", &TOPVC_IDS);
-            print_or_exit(topvc_report(&id), &id, "topvc", &TOPVC_IDS);
-        }
-        Some("tail") => {
-            let id = capability_id_or_exit(&args, "tail", &TAIL_IDS);
-            print_or_exit(tail_report(&id), &id, "tail", &TAIL_IDS);
-        }
-        Some("exemplars") => {
-            let id = capability_id_or_exit(&args, "exemplars", &TAIL_IDS);
-            print_or_exit(exemplars_report(&id), &id, "exemplars", &TAIL_IDS);
         }
         Some("diff") => {
             let (Some(a), Some(b)) = (args.get(1), args.get(2)) else {
-                eprintln!("usage: report diff <a> <b>; ids with histograms: {HIST_IDS:?}");
-                std::process::exit(2);
+                refuse("usage: report diff <a> <b>", "hist");
             };
             match diff_report(&normalize_id(a), &normalize_id(b)) {
                 Ok(out) => print!("{out}"),
@@ -168,44 +100,50 @@ fn main() {
             }
         }
         Some("promlint") => {
-            // Run every live exposition the id supports (`prom` profile
-            // gauges, `hist` histogram families) through the expfmt
-            // conformance validator; exit 2 on the first violation.
-            let id = capability_id_or_exit(&args, "promlint", &PROFILE_IDS);
-            let mut checked = 0usize;
-            if let Some(text) = prom_report(&id) {
-                lint_or_exit(&id, "prom", &text);
-                checked += 1;
-            }
-            if let Some(out) = hist_report(&id) {
-                // The hist report is a table followed by the exposition.
-                if let Some(start) = out.find("# HELP") {
-                    lint_or_exit(&id, "hist", &out[start..]);
-                    checked += 1;
-                }
-            }
-            if let Some(out) = tail_report(&id) {
-                // Likewise: blame table, then the tail-share gauges.
-                if let Some(start) = out.find("# HELP") {
-                    lint_or_exit(&id, "tail", &out[start..]);
-                    checked += 1;
-                }
-            }
-            if checked == 0 {
-                eprintln!(
-                    "experiment '{id}' exposes no Prometheus text; supported ids: {PROFILE_IDS:?}"
+            // Run every live exposition the id renders through the
+            // expfmt conformance validator; exit 2 on the first violation.
+            let id = capability_id_or_exit(&args, "promlint", "prom");
+            let Some(all) = expositions(&id) else {
+                refuse(
+                    &format!("experiment '{id}' exposes no Prometheus text"),
+                    "prom",
                 );
-                std::process::exit(2);
+            };
+            for (which, text) in &all {
+                lint_or_exit(&id, which, text);
             }
-            println!("promlint {id}: {checked} exposition(s) conformant");
+            println!("promlint {id}: {} exposition(s) conformant", all.len());
         }
-        Some(id) => match run_experiment(&normalize_id(id)) {
-            Some(out) => println!("{out}"),
-            None => {
-                eprintln!("unknown experiment '{id}'; try: list");
-                std::process::exit(2);
+        Some(word) => {
+            let name = if word == "--trace" { "trace" } else { word };
+            let Some(&(name, render)) = RENDERINGS.iter().find(|(n, _)| *n == name) else {
+                match run_experiment(&normalize_id(word)) {
+                    Some(out) => println!("{out}"),
+                    None => {
+                        eprintln!("unknown experiment '{word}'; try: list");
+                        std::process::exit(2);
+                    }
+                }
+                return;
+            };
+            let id = capability_id_or_exit(&args, name, name);
+            let sample = (name == "trace").then(|| flag_value::<u64>(&args, "--sample"));
+            let out = match sample.flatten() {
+                Some(one_in) => {
+                    let seed = flag_value::<u64>(&args, "--seed").unwrap_or(0);
+                    sampled_trace_experiment(&id, one_in, seed)
+                        .map(|ev| hni_telemetry::jsonl::to_jsonl(&ev))
+                }
+                None => render(&id),
+            };
+            match out {
+                Some(text) => print!("{text}"),
+                None => refuse(
+                    &format!("experiment '{id}' does not support '{name}'"),
+                    name,
+                ),
             }
-        },
+        }
     }
 }
 

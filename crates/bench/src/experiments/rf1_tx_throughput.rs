@@ -2,12 +2,13 @@
 //! analytic bounds, per partition, at both line rates.
 
 use crate::table::{fmt_bps, Table};
+use crate::Run;
 use hni_analysis::throughput::{predict_tx, predict_tx_with_bubble};
 use hni_atm::VcId;
 use hni_core::engine::HwPartition;
 use hni_core::txsim::{greedy_workload, run_tx, run_tx_full, TxConfig};
 use hni_sonet::LineRate;
-use hni_telemetry::{CycleProfiler, NullProfiler, NullTracer, Profile, TraceEvent, VecTracer};
+use hni_telemetry::{Profiler, Tracer};
 
 /// Packet sizes swept (octets).
 pub const SIZES: [usize; 7] = [64, 256, 1024, 4096, 9180, 32768, 65000];
@@ -70,41 +71,12 @@ pub fn sweep_with_jobs(packets: usize, jobs: usize) -> Vec<Point> {
     })
 }
 
-/// The canonical steady-state run itself (paper split, OC-12, 20 ×
-/// 9180-octet packets) — the always-on telemetry (latency histogram,
-/// per-VC top-K) rides along in the report.
-pub fn canonical_run() -> hni_core::txsim::TxReport {
+/// The canonical steady-state run (paper split, OC-12, 20 × 9180-octet
+/// packets) with the caller's probes attached.
+pub fn canonical_run(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> Run {
     let cfg = TxConfig::paper(LineRate::Oc12);
-    run_tx(&cfg, &greedy_workload(20, 9180, VcId::new(0, 32)))
-}
-
-/// Capture the transmit-pipeline event trace for the table's canonical
-/// steady-state point: paper split, OC-12, 20 × 9180-octet packets.
-pub fn trace_run() -> Vec<TraceEvent> {
-    let mut tracer = VecTracer::new();
-    let cfg = TxConfig::paper(LineRate::Oc12);
-    run_tx_full(
-        &cfg,
-        &greedy_workload(20, 9180, VcId::new(0, 32)),
-        &mut tracer,
-        &mut NullProfiler,
-    );
-    tracer.into_events()
-}
-
-/// Cycle-profile the same canonical steady-state point the trace
-/// capture uses. Returns the profile and the run's goodput (the
-/// attribution engine's ceiling denominator).
-pub fn profile_run() -> (Profile, f64) {
-    let cfg = TxConfig::paper(LineRate::Oc12);
-    let mut prof = CycleProfiler::new();
-    let r = run_tx_full(
-        &cfg,
-        &greedy_workload(20, 9180, VcId::new(0, 32)),
-        &mut NullTracer,
-        &mut prof,
-    );
-    (prof.snapshot(r.finished_at), r.goodput_bps)
+    let packets = greedy_workload(20, 9180, VcId::new(0, 32));
+    Run::Tx(run_tx_full(&cfg, &packets, tracer, profiler))
 }
 
 /// Render the figure as a table.

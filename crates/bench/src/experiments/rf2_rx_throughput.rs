@@ -2,13 +2,14 @@
 //! plus the host-side interrupt-coalescing comparison.
 
 use crate::table::{fmt_bps, fmt_pct, Table};
+use crate::Run;
 use hni_aal::AalType;
 use hni_core::engine::HwPartition;
 use hni_core::rxsim::{run_rx, run_rx_full, RxConfig, RxWorkload};
 use hni_host::{DriverCosts, HostCpu, InterruptMode, RxHostModel};
 use hni_sim::{Duration, Time};
 use hni_sonet::LineRate;
-use hni_telemetry::{CycleProfiler, NullProfiler, NullTracer, Profile, TraceEvent, VecTracer};
+use hni_telemetry::{Profiler, Tracer};
 
 /// Packet sizes swept (octets).
 pub const SIZES: [usize; 5] = [64, 1024, 4096, 9180, 65000];
@@ -56,33 +57,12 @@ pub fn sweep(pkts_per_vc: usize) -> Vec<Point> {
     })
 }
 
-/// The canonical run itself (paper split, OC-12 full line load,
-/// 4 VCs × 9180-octet packets) — the always-on telemetry (latency
-/// histogram, per-connection top-K) rides along in the report.
-pub fn canonical_run() -> hni_core::rxsim::RxReport {
+/// The canonical run (paper split, OC-12 full line load, 4 VCs ×
+/// 9180-octet packets) with the caller's probes attached.
+pub fn canonical_run(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> Run {
     let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 5, 9180, 1.0);
-    run_rx(&cfg, &wl)
-}
-
-/// Capture the receive-pipeline event trace for the table's canonical
-/// point: paper split, OC-12 full line load, 4 VCs × 9180-octet packets.
-pub fn trace_run() -> Vec<TraceEvent> {
-    let mut tracer = VecTracer::new();
-    let cfg = RxConfig::paper(LineRate::Oc12);
-    let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 5, 9180, 1.0);
-    run_rx_full(&cfg, &wl, &mut tracer, &mut NullProfiler);
-    tracer.into_events()
-}
-
-/// Cycle-profile the same canonical point the trace capture uses.
-/// Returns the profile and the run's goodput.
-pub fn profile_run() -> (Profile, f64) {
-    let cfg = RxConfig::paper(LineRate::Oc12);
-    let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 5, 9180, 1.0);
-    let mut prof = CycleProfiler::new();
-    let r = run_rx_full(&cfg, &wl, &mut NullTracer, &mut prof);
-    (prof.snapshot(r.run_end), r.goodput_bps)
+    Run::Rx(run_rx_full(&cfg, &wl, tracer, profiler))
 }
 
 /// Host-side comparison: CPU utilization delivering 9180-octet packets

@@ -2,6 +2,7 @@
 //! analytic decomposition cross-checked against the transmit DES.
 
 use crate::table::Table;
+use crate::Run;
 use hni_aal::AalType;
 use hni_analysis::latency::unloaded_latency;
 use hni_atm::VcId;
@@ -12,7 +13,7 @@ use hni_core::rxsim::RxConfig;
 use hni_core::txsim::{greedy_workload, run_tx, TxConfig};
 use hni_sim::Duration;
 use hni_sonet::LineRate;
-use hni_telemetry::{CycleProfiler, NullProfiler, NullTracer, Profile, TraceEvent, VecTracer};
+use hni_telemetry::{NullProfiler, NullTracer, Profiler, TraceEvent, Tracer, VecTracer};
 
 /// Packet sizes swept.
 pub const SIZES: [usize; 5] = [64, 1024, 9180, 32768, 65000];
@@ -37,50 +38,19 @@ pub fn trace_run(len: usize) -> Vec<TraceEvent> {
     tracer.into_events()
 }
 
-/// The canonical loaded end-to-end run (20 × 9180-octet packets, the
-/// same point `profile_run` uses) — the always-on telemetry (tx/rx/e2e
-/// latency histograms, per-VC top-K) rides along in the report.
-pub fn canonical_run() -> hni_core::e2esim::E2eReport {
-    run_e2e(
+/// The canonical loaded end-to-end run (20 × 9180-octet packets) with
+/// the caller's probes attached. Unlike the single-packet trace, a
+/// steady-state backlog gives every path resource a meaningful
+/// utilization to rank and the tail attributor a tail to explain.
+pub fn canonical_run(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> Run {
+    Run::E2e(run_e2e_full(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
         &greedy_workload(20, TRACE_LEN, VcId::new(0, 32)),
         PROPAGATION,
-    )
-}
-
-/// The canonical loaded run with its full event trace captured: the
-/// tail attribution joins the report's exemplar reservoir against the
-/// span index of the *same* run, so it needs both. Tracing does not
-/// perturb the simulation — the report equals [`canonical_run`]'s.
-pub fn canonical_trace() -> (hni_core::e2esim::E2eReport, Vec<TraceEvent>) {
-    let mut tracer = VecTracer::new();
-    let r = run_e2e_full(
-        &TxConfig::paper(LineRate::Oc12),
-        &RxConfig::paper(LineRate::Oc12),
-        &greedy_workload(20, TRACE_LEN, VcId::new(0, 32)),
-        PROPAGATION,
-        &mut tracer,
-        &mut NullProfiler,
-    );
-    (r, tracer.into_events())
-}
-
-/// Cycle-profile a loaded end-to-end run (20 × 9180-octet packets):
-/// unlike the single-packet trace, a steady-state backlog gives every
-/// path resource a meaningful utilization to rank. Returns the profile
-/// and the run's goodput.
-pub fn profile_run() -> (Profile, f64) {
-    let mut prof = CycleProfiler::new();
-    let r = run_e2e_full(
-        &TxConfig::paper(LineRate::Oc12),
-        &RxConfig::paper(LineRate::Oc12),
-        &greedy_workload(20, TRACE_LEN, VcId::new(0, 32)),
-        PROPAGATION,
-        &mut NullTracer,
-        &mut prof,
-    );
-    (prof.snapshot(r.rx.run_end), r.goodput_bps)
+        tracer,
+        profiler,
+    ))
 }
 
 /// Render the breakdown table.
@@ -145,35 +115,8 @@ pub fn run() -> String {
     // Percentile waterfall of the loaded canonical run: the unloaded
     // table above shows means; under a 20-packet backlog the tail is
     // the story, and the always-on histograms have it for free.
-    let loaded = canonical_run();
-    let mut w = Table::new([
-        "loaded latency",
-        "n",
-        "mean us",
-        "p50<=",
-        "p90<=",
-        "p99<=",
-        "p999<=",
-        "max us",
-    ]);
-    for (stage, h) in [
-        ("tx", &loaded.tx.latency_hist),
-        ("rx", &loaded.rx.latency_hist),
-        ("e2e", &loaded.latency_hist),
-    ] {
-        let p = h.pcts();
-        let us = |ps: u64| format!("{:.2}", ps as f64 / 1e6);
-        w.row([
-            stage.to_string(),
-            p.count.to_string(),
-            format!("{:.2}", p.mean / 1e6),
-            us(p.p50),
-            us(p.p90),
-            us(p.p99),
-            us(p.p999),
-            us(p.max),
-        ]);
-    }
+    let loaded = canonical_run(&mut NullTracer, &mut NullProfiler);
+    let w = crate::pct_table("loaded latency", &loaded.plane().latency);
     format!(
         "R-F3 — Unloaded end-to-end latency breakdown (µs), OC-12, paper split\n\
          ('tx sim' = measured descriptor→line latency from the transmit DES;\n\

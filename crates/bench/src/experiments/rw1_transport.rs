@@ -36,10 +36,12 @@
 //! across reruns and `HNI_JOBS` worker counts.
 
 use crate::table::{fmt_bps, fmt_pct, Table};
+use crate::Run;
 use hni_core::DiscardPolicy;
 use hni_faults::{scenarios, DelayModel, FaultPlan};
 use hni_sonet::LineRate;
-use hni_transport::{run_transport, TransportConfig, TransportReport};
+use hni_telemetry::{Profiler, Tracer};
+use hni_transport::{run_transport, run_transport_full, TransportConfig, TransportReport};
 
 use super::rr1_discard;
 
@@ -299,11 +301,12 @@ pub fn sweep_wan_with_jobs(jobs: usize) -> Vec<WanPoint> {
     })
 }
 
-/// The canonical closed-loop run backing `report hist r-w1`: the WAN
-/// leg's satellite point at 1% loss — the regime where the frame-
-/// latency distribution is bimodal (one RTT vs. RTO + retransmit).
-pub fn canonical_run() -> TransportReport {
-    run_transport(&wan_cfg(scenarios::satellite_path(), 0.01))
+/// The canonical closed-loop run, with the caller's probes attached:
+/// the WAN leg's satellite point at 1% loss — the regime where the
+/// frame-latency distribution is bimodal (one RTT vs. RTO + retransmit).
+pub fn canonical_run(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> Run {
+    let cfg = wan_cfg(scenarios::satellite_path(), 0.01);
+    Run::Transport(run_transport_full(&cfg, tracer, profiler))
 }
 
 /// Render the R-W1 report.

@@ -341,35 +341,8 @@ impl Nic {
         self.maybe_expire(now);
     }
 
-    /// Accept a burst of slab-backed cells directly at the ATM layer
-    /// (past SONET framing and delineation) — the batched receive entry
-    /// point: one dispatch per burst instead of one per cell, the
-    /// software analogue of the paper's burst-oriented hardware moves.
-    /// Cell handling (CAM, OAM, reassembly, events, expiry cadence) is
-    /// the per-cell path, so results are byte-identical to feeding the
-    /// cells one at a time.
-    pub fn rx_burst(&mut self, refs: &[CellRef], slab: &CellSlab, now: Time) {
-        self.rx_burst_instrumented(refs, slab, now, &mut NullTracer)
-    }
-
-    /// [`Nic::rx_burst`] with a tracer observing the same per-cell
-    /// boundaries as the line-octet path, so profiles charge batched
-    /// activity identically.
-    pub fn rx_burst_instrumented(
-        &mut self,
-        refs: &[CellRef],
-        slab: &CellSlab,
-        now: Time,
-        tracer: &mut dyn Tracer,
-    ) {
-        for &r in refs {
-            self.receive_cell(slab.get(r), now, tracer);
-        }
-        self.maybe_expire(now);
-    }
-
-    /// The per-cell receive body shared by every entry point: CAM
-    /// lookup, OAM handling, reassembly, event generation.
+    /// The per-cell receive body behind [`Nic::receive_line_octets`]:
+    /// CAM lookup, OAM handling, reassembly, event generation.
     fn receive_cell(&mut self, cell: &Cell, now: Time, tracer: &mut dyn Tracer) {
         let Ok(header) = cell.header() else { return };
         let vc = header.vc();
@@ -718,41 +691,6 @@ mod tests {
         assert!(ok > 0, "some frames must survive 5% loss");
         assert!(failed > 0, "some frames must die to loss/corruption");
         assert!(ok + failed <= n_frames + lost + dup);
-    }
-
-    #[test]
-    fn rx_burst_matches_per_cell_line_path() {
-        // Same traffic through (a) the SONET line path and (b) the
-        // batched rx_burst entry point: identical packets, events and
-        // counters at the ATM layer and above.
-        let (mut a, mut line_rx, vc) = pair(AalType::Aal5);
-        let (_, mut burst_rx, _) = pair(AalType::Aal5);
-        a.open_vc(vc).unwrap();
-        line_rx.open_vc(vc).unwrap();
-        burst_rx.open_vc(vc).unwrap();
-        pump(&mut a, &mut line_rx, 12);
-
-        let payloads: Vec<Vec<u8>> = (0..4)
-            .map(|i| {
-                (0..800 + i * 37)
-                    .map(|j| ((i * 31 + j) % 256) as u8)
-                    .collect()
-            })
-            .collect();
-        let mut slab = CellSlab::new();
-        let mut refs = Vec::new();
-        for p in &payloads {
-            a.send(vc, p.clone(), Time::ZERO).unwrap();
-            aal5::segment_into(vc, p, 0, &mut slab, &mut refs);
-        }
-        let line_evs = pump(&mut a, &mut line_rx, 10);
-        burst_rx.rx_burst(&refs, &slab, Time::ZERO);
-        let mut burst_evs = Vec::new();
-        while let Some(e) = burst_rx.poll() {
-            burst_evs.push(e);
-        }
-        assert_eq!(line_evs, burst_evs);
-        assert_eq!(line_rx.sdus_received(), burst_rx.sdus_received());
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub use faults::{
 pub use link::{Link, LinkDelivery};
 pub use queue::BoundedFifo;
 pub use rng::{Rng, Zipf};
-pub use stats::{Counter, Histogram, OccupancyTracker, RateMeter, Summary, HIST_BUCKETS};
+pub use stats::{Histogram, OccupancyTracker, Summary, HIST_BUCKETS};
 pub use time::{Duration, Time};

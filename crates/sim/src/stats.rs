@@ -3,48 +3,13 @@
 //! Everything here is O(1) per sample and fixed-size, so instrumentation
 //! never changes the asymptotics of a simulation. The collectors:
 //!
-//! * [`Counter`] — events and bytes.
 //! * [`Summary`] — running min/max/mean/variance (Welford).
 //! * [`Histogram`] — log₂-bucketed latency histogram with quantile queries.
-//! * [`RateMeter`] — converts byte/cell counts over simulated time to bit/s.
 //! * [`OccupancyTracker`] — time-weighted queue-occupancy statistics
 //!   (mean and peak), the quantity FIFO-sizing decisions are made from.
 
 use crate::time::{Duration, Time};
 use core::fmt;
-
-/// A simple event/byte counter.
-#[derive(Clone, Debug, Default)]
-pub struct Counter {
-    events: u64,
-    bytes: u64,
-}
-
-impl Counter {
-    /// New zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-    /// Record one event carrying `bytes` bytes.
-    #[inline]
-    pub fn add(&mut self, bytes: u64) {
-        self.events += 1;
-        self.bytes += bytes;
-    }
-    /// Record one event with no byte count.
-    #[inline]
-    pub fn bump(&mut self) {
-        self.events += 1;
-    }
-    /// Number of events recorded.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
 
 /// Running min / max / mean / variance over `f64` samples (Welford's
 /// single-pass algorithm, numerically stable).
@@ -141,20 +106,6 @@ impl Summary {
     }
 }
 
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} sd={:.3} min={:.3} max={:.3}",
-            self.n,
-            self.mean(),
-            self.std_dev(),
-            self.min(),
-            self.max()
-        )
-    }
-}
-
 /// Number of log₂ buckets in [`Histogram`]: values 0..2⁶³ are covered.
 pub const HIST_BUCKETS: usize = 64;
 
@@ -208,12 +159,6 @@ impl Histogram {
         if v > self.max {
             self.max = v;
         }
-    }
-
-    /// Record a duration (in picoseconds).
-    #[inline]
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_ps());
     }
 
     /// Number of samples.
@@ -303,75 +248,6 @@ impl fmt::Debug for Histogram {
             self.quantile(0.5),
             self.quantile(0.99)
         )
-    }
-}
-
-/// Converts counted bytes (or cells) over simulated time into rates.
-#[derive(Clone, Debug, Default)]
-pub struct RateMeter {
-    bytes: u64,
-    units: u64,
-    started: Option<Time>,
-    last: Time,
-}
-
-impl RateMeter {
-    /// New meter; the window opens at the first record.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `bytes` observed at simulated time `now`.
-    #[inline]
-    pub fn record(&mut self, now: Time, bytes: u64) {
-        if self.started.is_none() {
-            self.started = Some(now);
-        }
-        self.bytes += bytes;
-        self.units += 1;
-        self.last = now;
-    }
-
-    /// Total bytes observed.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-    /// Total units (packets / cells) observed.
-    pub fn units(&self) -> u64 {
-        self.units
-    }
-
-    /// Mean rate in bits/second over `[first record, end]`.
-    ///
-    /// `end` is supplied by the caller (usually the simulation end time) so
-    /// that quiet tails count against the rate.
-    pub fn bits_per_second(&self, end: Time) -> f64 {
-        match self.started {
-            None => 0.0,
-            Some(t0) => {
-                let span = end.saturating_since(t0).as_s_f64();
-                if span <= 0.0 {
-                    0.0
-                } else {
-                    (self.bytes as f64 * 8.0) / span
-                }
-            }
-        }
-    }
-
-    /// Mean unit rate (packets or cells per second) over `[first record, end]`.
-    pub fn units_per_second(&self, end: Time) -> f64 {
-        match self.started {
-            None => 0.0,
-            Some(t0) => {
-                let span = end.saturating_since(t0).as_s_f64();
-                if span <= 0.0 {
-                    0.0
-                } else {
-                    self.units as f64 / span
-                }
-            }
-        }
     }
 }
 
@@ -475,16 +351,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.add(100);
-        c.add(200);
-        c.bump();
-        assert_eq!(c.events(), 3);
-        assert_eq!(c.bytes(), 300);
-    }
-
-    #[test]
     fn summary_moments() {
         let mut s = Summary::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
@@ -544,43 +410,6 @@ mod tests {
         h.record(0);
         assert_eq!(h.quantile(1.0), 1); // bucket 0 upper bound = 1
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn rate_meter_bps() {
-        let mut m = RateMeter::new();
-        m.record(Time::ZERO, 125); // 1000 bits
-        m.record(Time::from_us(1), 125);
-        // 2000 bits over 2 µs window (t0=0, end=2µs) = 1 Gb/s
-        let bps = m.bits_per_second(Time::from_us(2));
-        assert!((bps - 1e9).abs() / 1e9 < 1e-12, "bps={bps}");
-        assert!((m.units_per_second(Time::from_us(2)) - 1e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn rate_meter_empty() {
-        let m = RateMeter::new();
-        assert_eq!(m.bits_per_second(Time::from_s(1)), 0.0);
-    }
-
-    #[test]
-    fn rate_meter_zero_elapsed_window() {
-        // A record followed by a query at the same instant must not
-        // divide by zero (or return ±∞ / NaN).
-        let mut m = RateMeter::new();
-        m.record(Time::from_us(3), 1000);
-        assert_eq!(m.bits_per_second(Time::from_us(3)), 0.0);
-        assert_eq!(m.units_per_second(Time::from_us(3)), 0.0);
-    }
-
-    #[test]
-    fn rate_meter_end_before_start() {
-        // Querying a window that closes before it opened saturates to a
-        // zero span and reports a zero rate, not a negative one.
-        let mut m = RateMeter::new();
-        m.record(Time::from_ms(10), 500);
-        assert_eq!(m.bits_per_second(Time::from_ms(1)), 0.0);
-        assert_eq!(m.units_per_second(Time::ZERO), 0.0);
     }
 
     #[test]

@@ -17,12 +17,8 @@
 //! * [`RingTracer`] / [`VecTracer`] — in-memory sinks: a bounded
 //!   preallocated ring for always-on flight recording, and a growing
 //!   buffer for full-run capture.
-//! * [`MetricsRegistry`] — named `Counter` / `Histogram` / `RateMeter` /
-//!   `OccupancyTracker` instances (reusing `hni-sim::stats`) under
-//!   hierarchical names (`nic.tx.seg.cells`) with a deterministic text
-//!   dump, derivable *from the trace stream itself*.
 //! * [`jsonl`] — a line-per-event JSON export, the interchange format
-//!   `report --trace <id>` emits.
+//!   `report trace <id>` emits.
 //! * [`waterfall`] — the reducer that rebuilds the R-F3 per-stage
 //!   latency breakdown directly from trace spans.
 //! * [`Profiler`] / [`CycleProfiler`] — cycle accounting: every
@@ -38,8 +34,10 @@
 //!   lines for `report profile <id>`; histogram families and a
 //!   conformance [`validate`](expfmt::validate)r for CI linting.
 //!
-//! The always-on telemetry plane (PR 6) adds the pieces that stay on
-//! at line rate with bounded overhead:
+//! The always-on telemetry plane adds the pieces that stay on at line
+//! rate with bounded overhead. Every pipeline report carries them, next
+//! to its cell ledger, and `report metrics <id>` dumps them; a run's
+//! metrics are read from the report, not rebuilt from a trace:
 //!
 //! * [`HdrHist`] — fixed 64-bucket log₂ latency histograms with
 //!   p50/p90/p99/p999 bands and exact max, mergeable across workers.
@@ -75,7 +73,6 @@ pub mod expfmt;
 pub mod hist;
 pub mod json;
 pub mod jsonl;
-pub mod metrics;
 pub mod profiler;
 pub mod reservoir;
 pub mod sampler;
@@ -89,7 +86,6 @@ pub mod waterfall;
 pub use attribution::{attribute, Attribution, ResourceShare};
 pub use event::{Phase, Stage, TraceEvent, NO_ID};
 pub use hist::{HdrHist, Pcts};
-pub use metrics::{Metric, MetricsRegistry};
 pub use profiler::{
     Activity, Component, CycleProfiler, GaugeStats, NullProfiler, Profile, Profiler,
 };

@@ -6,16 +6,15 @@
 //!
 //! Runs the unloaded end-to-end composition (transmit pipeline →
 //! 5 µs of fibre → receive pipeline) with a recording tracer, then
-//! reduces the event stream three ways:
+//! reduces the event stream two ways:
 //!
 //! 1. the per-stage latency waterfall (the R-F3 breakdown, but measured
 //!    from trace spans instead of computed in closed form),
-//! 2. the metrics registry derived from the same stream,
-//! 3. the first few events as JSONL, the interchange format
-//!    `report --trace <id>` emits.
+//! 2. the first few events as JSONL, the interchange format
+//!    `report trace <id>` emits.
 
 use hni_bench::experiments::rf3_latency;
-use hni_telemetry::{jsonl, MetricsRegistry, Time, Waterfall};
+use hni_telemetry::{jsonl, Waterfall};
 
 fn main() {
     let len: usize = std::env::args()
@@ -37,11 +36,7 @@ fn main() {
         w.total.as_us_f64()
     );
 
-    let end = events.last().map(|e| e.time).unwrap_or(Time::ZERO);
-    println!("metrics derived from the same trace stream:");
-    print!("{}", MetricsRegistry::from_trace(&events, end).dump(end));
-
-    println!("\nfirst 5 events as JSONL (`report --trace r-f3` emits the full stream):");
+    println!("first 5 events as JSONL (`report trace <id>` emits a full stream):");
     for ev in events.iter().take(5) {
         let mut line = String::new();
         jsonl::write_event(&mut line, ev);

@@ -2,8 +2,7 @@
 //! through the receive pipeline and the end-to-end composition must
 //! never panic, and every injected cell must reconcile to exactly one
 //! fate — delivered, dropped(reason) or discarded(reason) — both in the
-//! run's own [`CellLedger`] and in the metrics registry derived from
-//! the telemetry stream.
+//! run's own [`CellLedger`] and in the events of its telemetry stream.
 //!
 //! Seeds come from `HNI_CHAOS_SEEDS` (comma-separated) when set — ci.sh
 //! pins two — and default to a small sweep otherwise. Every seed is
@@ -16,7 +15,7 @@ use hni_core::DiscardPolicy;
 use hni_faults::chaos;
 use hni_sim::Duration;
 use hni_sonet::LineRate;
-use hni_telemetry::{Metric, MetricsRegistry, NullProfiler, VecTracer};
+use hni_telemetry::{NullProfiler, Phase, Stage, VecTracer};
 
 fn seeds() -> Vec<u64> {
     match std::env::var("HNI_CHAOS_SEEDS") {
@@ -49,16 +48,8 @@ fn rx_cfg_for(seed: u64) -> RxConfig {
     cfg
 }
 
-fn counter(reg: &MetricsRegistry, name: &str) -> (u64, u64) {
-    match reg.get(name) {
-        Some(Metric::Counter(c)) => (c.events(), c.bytes()),
-        None => (0, 0),
-        other => panic!("{name}: unexpected metric {other:?}"),
-    }
-}
-
 #[test]
-fn chaotic_rx_runs_reconcile_ledger_and_registry() {
+fn chaotic_rx_runs_reconcile_ledger_and_trace() {
     let wl = RxWorkload::uniform(LineRate::Oc12, hni_aal::AalType::Aal5, 16, 4, 9180, 1.0);
     for seed in seeds() {
         let cfg = rx_cfg_for(seed);
@@ -76,28 +67,35 @@ fn chaotic_rx_runs_reconcile_ledger_and_registry() {
         );
         assert_eq!(l.dropped_link, lf.dropped, "seed {seed}");
 
-        // The registry is a query over the telemetry stream; it must
-        // agree with the run's own accounting cell for cell.
-        let reg = MetricsRegistry::from_trace(tracer.events(), report.run_end);
-        let (cells, _) = counter(&reg, "nic.rx.cells");
+        // The telemetry stream must agree with the run's own accounting
+        // cell for cell: arrivals and drops are one event per cell, and
+        // discard events carry their cell count in `arg`.
+        let (mut cells, mut fifo, mut pool, mut validate_fails) = (0, 0, 0, 0);
+        let (mut epd, mut ppd, mut stale, mut expired) = (0, 0, 0, 0);
+        for ev in tracer.events() {
+            match ev.stage {
+                Stage::RxCellArrive => cells += 1,
+                Stage::RxFifoDrop => fifo += 1,
+                Stage::RxPoolDrop => pool += 1,
+                Stage::RxValidateFail if ev.phase == Phase::Instant => validate_fails += 1,
+                Stage::RxEpdDiscard => epd += ev.arg,
+                Stage::RxPpdDiscard => ppd += ev.arg,
+                Stage::RxStaleDiscard => stale += ev.arg,
+                Stage::RxReasmExpire => expired += ev.arg,
+                _ => {}
+            }
+        }
         assert_eq!(
             cells,
             l.injected - l.dropped_link,
-            "seed {seed}: nic.rx.cells ≠ cells reaching the interface"
+            "seed {seed}: cell arrivals ≠ cells reaching the interface"
         );
-        let (fifo, _) = counter(&reg, "nic.rx.drops.fifo");
         assert_eq!(fifo, l.dropped_fifo, "seed {seed}: fifo drops");
-        let (pool, _) = counter(&reg, "nic.rx.drops.pool");
         assert_eq!(pool, l.dropped_pool, "seed {seed}: pool drops");
-        let (_, epd) = counter(&reg, "nic.rx.discards.epd");
         assert_eq!(epd, l.discarded_epd, "seed {seed}: EPD discards");
-        let (_, ppd) = counter(&reg, "nic.rx.discards.ppd");
         assert_eq!(ppd, l.discarded_ppd, "seed {seed}: PPD discards");
-        let (_, stale) = counter(&reg, "nic.rx.discards.stale");
         assert_eq!(stale, l.discarded_stale, "seed {seed}: stale discards");
-        let (_, expired) = counter(&reg, "nic.rx.discards.expired");
         assert_eq!(expired, l.discarded_expired, "seed {seed}: expiries");
-        let (validate_fails, _) = counter(&reg, "nic.rx.validate.failures");
         if l.discarded_crc > 0 {
             assert!(
                 validate_fails > 0,

@@ -19,8 +19,10 @@ use hni_aal::aal34::Aal34Segmenter;
 use hni_aal::aal5::{self, Aal5Reassembler};
 use hni_atm::{CellSlab, VcId};
 use hni_bench::experiments::{rf1_tx_throughput, rt3_memory, rt4_pacing};
-use hni_bench::par_sweep_with_jobs;
+use hni_bench::{par_sweep_with_jobs, Run};
+use hni_core::TxReport;
 use hni_sim::{Duration, FaultPlan, Link, LinkDelivery, Rng, Time};
+use hni_telemetry::{NullProfiler, NullTracer};
 
 #[path = "support/alloc_counter.rs"]
 mod alloc_counter;
@@ -113,9 +115,7 @@ fn par_sweep_byte_identical_across_worker_counts() {
 
 #[test]
 fn telemetry_plane_zero_alloc_in_steady_state() {
-    use hni_telemetry::{
-        HdrHist, NullTracer, SamplingTracer, Stage, TopK, TraceEvent, Tracer, VcMetrics,
-    };
+    use hni_telemetry::{HdrHist, SamplingTracer, Stage, TopK, TraceEvent, Tracer, VcMetrics};
 
     // Histogram: record + quantile + merge never touch the heap (the
     // 64 buckets are inline arrays).
@@ -162,6 +162,14 @@ fn telemetry_plane_zero_alloc_in_steady_state() {
     assert_eq!(n, 0, "SamplingTracer allocated {n} times in steady state");
 }
 
+/// R-F1's declared canonical run, unprobed.
+fn rf1_canonical() -> TxReport {
+    match rf1_tx_throughput::canonical_run(&mut NullTracer, &mut NullProfiler) {
+        Run::Tx(r) => r,
+        _ => panic!("R-F1 declares a transmit run"),
+    }
+}
+
 #[test]
 fn always_on_metrics_do_not_perturb_the_simulation() {
     // The telemetry plane is observational: every pre-existing report
@@ -169,7 +177,7 @@ fn always_on_metrics_do_not_perturb_the_simulation() {
     // counters rode along. Two identical runs agree trivially — the
     // real check is that the metrics-carrying report still satisfies
     // the cross-invariants the seed established.
-    let r = rf1_tx_throughput::canonical_run();
+    let r = rf1_canonical();
     assert_eq!(
         r.latency_hist.count() as usize,
         20,
@@ -190,7 +198,7 @@ fn always_on_metrics_do_not_perturb_the_simulation() {
     );
     // And the histogram itself is recorded outside the event loop's
     // timing: re-running produces float-identical goodput.
-    let again = rf1_tx_throughput::canonical_run();
+    let again = rf1_canonical();
     assert_eq!(r.goodput_bps.to_bits(), again.goodput_bps.to_bits());
     assert_eq!(r.cells_sent, again.cells_sent);
 }

@@ -65,32 +65,43 @@ fn all_experiments_render_with_headers_and_tables() {
 
 /// FNV-1a-64 of every capability rendering, keyed by the `report`
 /// arguments that print it. Same contract as [`REPORT_DIGESTS`].
-const CAPABILITY_DIGESTS: [(&str, u64); 26] = [
+const CAPABILITY_DIGESTS: [(&str, u64); 32] = [
     ("trace r-f1", 0x676a6ee5dda45058),
     ("trace r-f2", 0x040c1edc1066332e),
-    ("trace r-f3", 0xf1fc7d450d65e9cd),
+    // Traces the loaded 20 x 9180-octet run that `tail r-f3` indexes.
+    ("trace r-f3", 0x11057a13fe15f534),
+    ("trace r-w1", 0xc003c392a16145bd),
     ("trace r-f1 --sample 1024 --seed 7", 0xf738e6d414c9253c),
-    ("metrics r-f1", 0xda5627166b715c8f),
-    ("metrics r-f2", 0xa0ebbb0e05f512f3),
-    ("metrics r-f3", 0x7d323fe7f9298efa),
+    // Dumped from the always-on plane, not derived from a trace.
+    ("metrics r-f1", 0xfa830c87038ab2a0),
+    ("metrics r-f2", 0x5b09cbf61313d1f9),
+    ("metrics r-f3", 0x4d942b65e59fdc58),
+    ("metrics r-w1", 0x6beb3efac724650c),
     ("profile r-f1", 0x67d0ef6ed7b914cc),
     ("profile r-f2", 0xbd9eca27b1bda256),
     ("profile r-f3", 0x44b56f4be4221b83),
-    ("bottleneck r-f1", 0xe8d19b45b1711824),
+    ("profile r-w1", 0xc797b28f37cd0b11),
+    // The packet-size sweep appendix is gone; `report r-o1` prints it.
+    ("bottleneck r-f1", 0xba042ac50fe9fdf1),
     ("bottleneck r-f2", 0x23a33efc800e2114),
     ("bottleneck r-f3", 0x8b5602525c237102),
+    ("bottleneck r-w1", 0x2bb89ce85c802761),
     ("prom r-f1", 0xab026e6940a08109),
     ("prom r-f2", 0xd8a708bda6bfd3c3),
     ("prom r-f3", 0xfbc8a74dcbaa3ee5),
+    ("prom r-w1", 0xc3e58b5afbd21394),
     ("hist r-f1", 0x75ed1f1a8de796f6),
     ("hist r-f2", 0xf7fba8982e0d4316),
     ("hist r-f3", 0x387c9fbf8e168acd),
     ("hist r-w1", 0x8a763701fd23b686),
-    ("topvc r-f1", 0xc6c11135e9bd0f1b),
-    ("topvc r-f2", 0x33f7bc882d69379b),
-    ("topvc r-f3", 0xf88d8bceab837ff8),
-    ("tail r-f3", 0xba03989384be0df9),
-    ("exemplars r-f3", 0x0e7f9e2f68d049a1),
+    // Header line only: every rendering titles a run by its declaration.
+    ("topvc r-f1", 0x3a33abecca47bcfb),
+    ("topvc r-f2", 0x4b9ca224d4ad61c3),
+    ("topvc r-f3", 0x41ae831e260993d4),
+    ("topvc r-w1", 0xc525e734541e4042),
+    // Header line only, as for topvc.
+    ("tail r-f3", 0x96f299c55a4fcc7e),
+    ("exemplars r-f3", 0xd0062ec6ff914bae),
     ("diff r-f3 r-f3", 0x169dff89503aaf52),
 ];
 
