@@ -7,6 +7,51 @@ set -eu
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> reach: no public item in crates/*/src is named only at its definition"
+# A name-level census. The corpus is crates/*/src, examples/ and
+# benchmark/src, each file up to its first #[cfg(test)] and without //
+# comments or `pub use` re-exports, plus tests/ and benchmark/tests
+# whole. A `pub fn|struct|enum|trait|type|const|static` outside the
+# proptest and criterion shims whose name occurs once in the corpus is
+# reached by nothing but its own unit tests. This guards against
+# regrowth; it does not prove reachability: a shared name such as `new`
+# always passes.
+# Allowlist: name, then why it stays although only tests reach it.
+reach_allow='
+crc32_reference    bitwise oracle the table CRC-32 is property-tested against
+crc10_reference    bitwise oracle the table CRC-10 is property-tested against
+conforms           the GCRA policer shaped_stream_conforms_at_policer checks against
+as_bytes_mut       delineation tests damage cells through it
+cells_of           the pool reference-model property reads chain lengths through it
+in_progress        aal5 tests check expiry and OAM cells leave no reassembly state
+generation         the vctable_churn property checks ABA safety through it
+card               the line-card sync test reads a port through it
+overloaded         R-R1 shape test picks the overloaded rows with it
+rx_config          NicConfig -> rxsim config, for the Nic/rxsim differential oracle
+tx_config          NicConfig -> txsim config, for the same oracle
+send_oam_loopback  the OAM loopback responder DESIGN.md and README document
+'
+REACH_ALLOW=$reach_allow awk '
+BEGIN { n = split(ENVIRON["REACH_ALLOW"], a, "\n")
+        for (i = 1; i <= n; i++) if (split(a[i], w, " ")) allow[w[1]] = 1 }
+FNR == 1 { cut = 0; inuse = 0; whole = FILENAME ~ /^(benchmark\/)?tests\// }
+!whole && /^#\[cfg\(test\)\]/ { cut = 1 }
+cut { next }
+{ sub(/\/\/.*/, "") }
+/^[ \t]*pub use / { inuse = 1 }
+inuse { if (/;/) inuse = 0; next }
+FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /-shim\// &&
+match($0, /^[ \t]*pub ((const|unsafe|async) )*(fn|struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*/) {
+    d = substr($0, RSTART, RLENGTH); sub(/.* /, "", d); nd++; def[nd] = d; at[nd] = FILENAME }
+{ m = split($0, t, /[^A-Za-z0-9_]+/); for (i = 1; i <= m; i++) seen[t[i]]++ }
+END { for (i = 1; i <= nd; i++) if (seen[def[i]] == 1) {
+          lone[def[i]] = 1
+          if (!(def[i] in allow)) { print "reach: " at[i] ": `" def[i] "` is named only at its definition"; bad = 1 } }
+      for (x in allow) if (!(x in lone)) { print "reach: allowlisted `" x "` is no longer lone; drop it from ci.sh"; bad = 1 }
+      exit bad }
+' $(find crates/*/src examples benchmark/src -name '*.rs' | sort) \
+  $(find tests benchmark/tests -name '*.rs' | sort) >&2
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

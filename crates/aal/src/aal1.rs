@@ -73,7 +73,6 @@ pub struct Aal1Segmenter {
     vc: VcId,
     sc: u8,
     buffered: Vec<u8>,
-    cells_emitted: u64,
 }
 
 impl Aal1Segmenter {
@@ -83,7 +82,6 @@ impl Aal1Segmenter {
             vc,
             sc: 0,
             buffered: Vec::new(),
-            cells_emitted: 0,
         }
     }
 
@@ -101,17 +99,12 @@ impl Aal1Segmenter {
                     .expect("user VC header encodable"),
             );
             self.sc = (self.sc + 1) & 0b111;
-            self.cells_emitted += 1;
         }
     }
 
     /// Stream octets awaiting a full cell.
     pub fn buffered(&self) -> usize {
         self.buffered.len()
-    }
-    /// Cells emitted so far.
-    pub fn cells_emitted(&self) -> u64 {
-        self.cells_emitted
     }
 }
 

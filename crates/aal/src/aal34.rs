@@ -201,21 +201,6 @@ impl Aal34Segmenter {
         });
     }
 
-    /// Segment a burst of SDUs (all on `vc`/`mid`) into the slab in one
-    /// call; handles are appended to `out` in SDU order.
-    pub fn segment_burst(
-        &mut self,
-        vc: VcId,
-        mid: u16,
-        sdus: &[&[u8]],
-        slab: &mut CellSlab,
-        out: &mut Vec<CellRef>,
-    ) {
-        for sdu in sdus {
-            self.segment_into(vc, mid, sdu, slab, out);
-        }
-    }
-
     /// The segmentation core shared by the `Vec<Cell>` and slab paths:
     /// builds the CPCS-PDU in the reusable scratch buffer and emits each
     /// SAR-PDU through `emit`.
@@ -310,8 +295,6 @@ pub struct Aal34Reassembler {
     frames: VcTable<FrameState>,
     max_sdu: usize,
     timeout: Duration,
-    completed: u64,
-    failed: u64,
     crc_discards: u64,
 }
 
@@ -323,36 +306,13 @@ impl Aal34Reassembler {
             frames: VcTable::new(),
             max_sdu: max_sdu.min(MAX_SDU),
             timeout,
-            completed: 0,
-            failed: 0,
             crc_discards: 0,
         }
     }
 
-    /// Frames successfully delivered.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-    /// Frames abandoned (all causes).
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
     /// Cells dropped on CRC-10 alone (may or may not have killed a frame).
     pub fn crc_discards(&self) -> u64 {
         self.crc_discards
-    }
-    /// (VC, MID) streams with a frame in progress.
-    pub fn in_progress(&self) -> usize {
-        self.frames.len()
-    }
-    /// Octets currently buffered.
-    pub fn buffered_octets(&self) -> usize {
-        self.frames.iter().map(|(_, f)| f.buf.len()).sum()
-    }
-
-    /// Probe/memory statistics of the backing [`VcTable`].
-    pub fn table_stats(&self) -> hni_atm::TableStats {
-        self.frames.stats()
     }
 
     fn fail(
@@ -367,7 +327,6 @@ impl Aal34Reassembler {
             .map(|f| f.buf.len())
             .unwrap_or(0)
             + extra_octets;
-        self.failed += 1;
         Some(Err(ReassemblyFailure {
             vc: key.0,
             mid: key.1,
@@ -472,7 +431,6 @@ impl Aal34Reassembler {
     /// Validate a complete CPCS-PDU and produce the SDU.
     fn validate_cpcs(&mut self, key: (VcId, u16), cpcs: Vec<u8>) -> ReassemblyOutcome {
         if cpcs.len() < CPCS_ENVELOPE || !cpcs.len().is_multiple_of(4) {
-            self.failed += 1;
             return Some(Err(ReassemblyFailure {
                 vc: key.0,
                 mid: key.1,
@@ -497,42 +455,21 @@ impl Aal34Reassembler {
             }))
         };
         if cpi != 0 {
-            self.failed += 1;
             return fail(ReassemblyError::MalformedCpcs);
         }
         if btag != etag {
-            self.failed += 1;
             return fail(ReassemblyError::TagMismatch);
         }
         if length > self.max_sdu || basize < length || cpcs_pdu_len(length) != cpcs.len() {
-            self.failed += 1;
             return fail(ReassemblyError::LengthMismatch);
         }
 
-        self.completed += 1;
         Some(Ok(ReassembledSdu {
             vc: key.0,
             mid: key.1,
             data: cpcs[4..4 + length].to_vec(),
             user_to_user: 0,
         }))
-    }
-
-    /// Offer a burst of slab-backed cells, appending every completed SDU
-    /// or failure report to `out` in arrival order (the batched
-    /// counterpart of per-cell [`Aal34Reassembler::push`]).
-    pub fn deliver_burst(
-        &mut self,
-        refs: &[CellRef],
-        slab: &CellSlab,
-        now: Time,
-        out: &mut Vec<Result<ReassembledSdu, ReassemblyFailure>>,
-    ) {
-        for &r in refs {
-            if let Some(outcome) = self.push(slab.get(r), now) {
-                out.push(outcome);
-            }
-        }
     }
 
     /// Abandon timed-out frames.
@@ -548,7 +485,6 @@ impl Aal34Reassembler {
             .into_iter()
             .map(|key| {
                 let f = self.frames.remove(key).expect("key from iteration");
-                self.failed += 1;
                 let (vc, mid) = stream_unkey(key);
                 ReassemblyFailure {
                     vc,
@@ -821,22 +757,6 @@ mod tests {
             for (c, &r) in vec_cells.iter().zip(&refs) {
                 assert_eq!(c.as_bytes(), slab.get(r).as_bytes(), "len {len}");
             }
-        }
-    }
-
-    #[test]
-    fn deliver_burst_roundtrip() {
-        let sdu: Vec<u8> = (0..700).map(|i| (i % 250) as u8).collect();
-        let mut seg = Aal34Segmenter::new();
-        let mut slab = CellSlab::new();
-        let mut refs = Vec::new();
-        seg.segment_burst(vc(), 4, &[&sdu, &sdu], &mut slab, &mut refs);
-        let mut r = reasm();
-        let mut out = Vec::new();
-        r.deliver_burst(&refs, &slab, Time::ZERO, &mut out);
-        assert_eq!(out.len(), 2);
-        for o in out {
-            assert_eq!(o.expect("valid frame").data, sdu);
         }
     }
 

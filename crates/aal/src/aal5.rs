@@ -85,22 +85,6 @@ pub fn segment_into(vc: VcId, sdu: &[u8], uu: u8, slab: &mut CellSlab, out: &mut
     });
 }
 
-/// Segment a burst of SDUs on `vc` into the slab in one call,
-/// amortizing per-call dispatch the way the paper's hardware assists
-/// amortize per-cell protocol processing. Handles are appended to `out`
-/// in SDU order.
-pub fn segment_burst(
-    vc: VcId,
-    sdus: &[&[u8]],
-    uu: u8,
-    slab: &mut CellSlab,
-    out: &mut Vec<CellRef>,
-) {
-    for sdu in sdus {
-        segment_into(vc, sdu, uu, slab, out);
-    }
-}
-
 /// The segmentation core: computes the CPCS trailer and emits each
 /// 48-octet payload (with its header repr) through `emit`. Both the
 /// `Vec<Cell>` path and the slab path share this, which is what makes
@@ -222,15 +206,6 @@ impl Aal5Reassembler {
     pub fn in_progress(&self) -> usize {
         self.vcs.len()
     }
-    /// Octets currently buffered across all VCs.
-    pub fn buffered_octets(&self) -> usize {
-        self.vcs.iter().map(|(_, s)| s.buf.len()).sum()
-    }
-
-    /// Probe/memory statistics of the backing [`VcTable`].
-    pub fn table_stats(&self) -> hni_atm::TableStats {
-        self.vcs.stats()
-    }
 
     /// Offer one cell. Returns a completed SDU, a failure report, or
     /// nothing (mid-frame).
@@ -321,23 +296,6 @@ impl Aal5Reassembler {
             data: pdu,
             user_to_user: uu,
         }))
-    }
-
-    /// Offer a burst of slab-backed cells, appending every completed SDU
-    /// or failure report to `out` in arrival order. Mid-frame cells
-    /// produce nothing, exactly as with per-cell [`Aal5Reassembler::push`].
-    pub fn deliver_burst(
-        &mut self,
-        refs: &[CellRef],
-        slab: &CellSlab,
-        now: Time,
-        out: &mut Vec<Result<ReassembledSdu, ReassemblyFailure>>,
-    ) {
-        for &r in refs {
-            if let Some(outcome) = self.push(slab.get(r), now) {
-                out.push(outcome);
-            }
-        }
     }
 
     /// Abandon every frame whose first cell arrived more than the timeout
@@ -590,24 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn deliver_burst_roundtrip_and_recycle() {
-        let sdu: Vec<u8> = (0..5000).map(|i| (i % 251) as u8).collect();
-        let mut slab = CellSlab::new();
-        let mut refs = Vec::new();
-        segment_burst(vc(), &[&sdu, &sdu], 0x01, &mut slab, &mut refs);
-        let mut r = reasm();
-        let mut out = Vec::new();
-        r.deliver_burst(&refs, &slab, Time::ZERO, &mut out);
-        assert_eq!(out.len(), 2);
-        for o in out {
-            let got = o.expect("valid frame");
-            assert_eq!(got.data, sdu);
-            r.recycle(got.data);
-        }
-        assert_eq!(r.completed(), 2);
-    }
-
-    #[test]
     fn steady_state_reuses_frame_buffers() {
         let sdu = vec![0x42u8; 1000];
         let mut slab = CellSlab::new();
@@ -617,7 +557,9 @@ mod tests {
         for _ in 0..20 {
             refs.clear();
             segment_into(vc(), &sdu, 0, &mut slab, &mut refs);
-            r.deliver_burst(&refs, &slab, Time::ZERO, &mut out);
+            for &c in &refs {
+                out.extend(r.push(slab.get(c), Time::ZERO));
+            }
             slab.free_all(&refs);
             let got = out.pop().unwrap().unwrap();
             assert_eq!(got.data, sdu);
@@ -626,14 +568,5 @@ mod tests {
         // Slab warmed on the first frame, then constant.
         assert_eq!(slab.growth_events(), refs.len() as u64);
         assert_eq!(r.completed(), 20);
-    }
-
-    #[test]
-    fn buffered_octets_accounting() {
-        let cells = segment(vc(), &[1u8; 500], 0);
-        let mut r = reasm();
-        r.push(&cells[0], Time::ZERO);
-        r.push(&cells[1], Time::ZERO);
-        assert_eq!(r.buffered_octets(), 96);
     }
 }

@@ -16,7 +16,6 @@
 //! for the whole frame (reassembly cannot hand over early), which is why
 //! the receive-side DMA term scales with packet length.
 
-use crate::throughput::ThroughputPrediction;
 use hni_aal::AalType;
 use hni_core::bus::BusConfig;
 use hni_core::engine::{HwPartition, ProtocolEngine, TaskKind};
@@ -127,12 +126,6 @@ pub fn unloaded_latency(
         rx_complete,
         total,
     }
-}
-
-/// Convenience: is the prediction engine-limited? (Used by the report to
-/// annotate latency rows with the throughput story.)
-pub fn is_engine_limited(p: &ThroughputPrediction) -> bool {
-    p.bottleneck == "engine"
 }
 
 #[cfg(test)]

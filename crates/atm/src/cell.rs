@@ -293,19 +293,9 @@ impl Cell {
         h
     }
 
-    /// Mutable view of the 5 header octets.
-    pub fn header_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes[..HEADER_SIZE]
-    }
-
     /// Parse the header as UNI format.
     pub fn header(&self) -> Result<HeaderRepr, HeaderError> {
         HeaderRepr::parse(&self.header_bytes(), HeaderFormat::Uni)
-    }
-
-    /// Parse the header in the given format.
-    pub fn header_as(&self, format: HeaderFormat) -> Result<HeaderRepr, HeaderError> {
-        HeaderRepr::parse(&self.header_bytes(), format)
     }
 
     /// Overwrite the header (recomputes HEC).

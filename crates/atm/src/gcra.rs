@@ -73,14 +73,6 @@ impl Gcra {
     pub fn increment(&self) -> Duration {
         self.t
     }
-    /// The tolerance τ.
-    pub fn tolerance(&self) -> Duration {
-        self.tau
-    }
-    /// Current theoretical arrival time.
-    pub fn tat(&self) -> Time {
-        self.tat
-    }
 
     /// Police a cell arriving at `now`: returns `true` (and advances
     /// state) if it conforms, `false` (state unchanged) if not.

@@ -18,9 +18,6 @@
 //! Tables are built at compile time with `const fn`, so there is no lazy
 //! initialisation on the hot path.
 
-/// Number of bits covered by the HEC code (4 header octets + HEC octet).
-pub const CODEWORD_BITS: u32 = 40;
-
 /// The CRC-8 generator polynomial x⁸ + x² + x + 1 (low 8 bits).
 pub const POLY: u8 = 0x07;
 

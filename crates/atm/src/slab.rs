@@ -99,11 +99,6 @@ impl CellSlab {
         &self.slots[r.index()]
     }
 
-    /// Mutate a slot (e.g. fault injection on the wire).
-    pub fn get_mut(&mut self, r: CellRef) -> &mut Cell {
-        &mut self.slots[r.index()]
-    }
-
     /// Return a slot to the free list.
     pub fn free(&mut self, r: CellRef) {
         debug_assert!(r.index() < self.slots.len());

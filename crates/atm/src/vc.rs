@@ -6,7 +6,7 @@ use core::fmt;
 /// connection on a link.
 ///
 /// VCI values 0–31 are reserved by ITU-T for layer functions (idle cells,
-/// OAM, signalling, ILMI); user data connections use VCI ≥ 32 — see
+/// OAM, signalling, link management); user data connections use VCI ≥ 32 — see
 /// [`VcId::FIRST_USER_VCI`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VcId {
@@ -20,19 +20,9 @@ impl VcId {
     /// The lowest VCI available to user connections.
     pub const FIRST_USER_VCI: u16 = 32;
 
-    /// Reserved VC for point-to-point signalling (VCI 5).
-    pub const SIGNALLING: VcId = VcId { vpi: 0, vci: 5 };
-    /// Reserved VC for ILMI (VCI 16).
-    pub const ILMI: VcId = VcId { vpi: 0, vci: 16 };
-
     /// Construct a VC identifier.
     pub const fn new(vpi: u16, vci: u16) -> Self {
         VcId { vpi, vci }
-    }
-
-    /// Whether this VC is in the user-data range.
-    pub fn is_user(&self) -> bool {
-        self.vci >= Self::FIRST_USER_VCI
     }
 
     /// The 24-bit concatenated VPI·VCI value used as a CAM search key in
@@ -51,14 +41,6 @@ impl fmt::Display for VcId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn user_range() {
-        assert!(!VcId::SIGNALLING.is_user());
-        assert!(!VcId::ILMI.is_user());
-        assert!(VcId::new(0, 32).is_user());
-        assert!(VcId::new(3, 1000).is_user());
-    }
 
     #[test]
     fn cam_key_packs() {

@@ -316,11 +316,6 @@ impl<T> VcTable<T> {
         self.shards.iter().all(|s| s.len == 0)
     }
 
-    /// The capacity bound, if this table has one.
-    pub fn max_entries(&self) -> Option<usize> {
-        self.max_entries
-    }
-
     #[inline]
     fn shard_of(h: u64) -> usize {
         (h as usize) & (SHARDS - 1)
@@ -369,17 +364,6 @@ impl<T> VcTable<T> {
         let e = self.entries.get(h.idx as usize)?;
         if e.gen == h.gen {
             e.val.as_ref()
-        } else {
-            None
-        }
-    }
-
-    /// Mutable [`VcTable::get`].
-    #[inline]
-    pub fn get_mut(&mut self, h: VcHandle) -> Option<&mut T> {
-        let e = self.entries.get_mut(h.idx as usize)?;
-        if e.gen == h.gen {
-            e.val.as_mut()
         } else {
             None
         }

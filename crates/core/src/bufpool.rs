@@ -57,16 +57,6 @@ pub struct PoolConfig {
     pub cells_per_buffer: usize,
 }
 
-impl PoolConfig {
-    /// Octets of adaptor SRAM this configuration occupies, counting the
-    /// 48-octet payload slots plus per-buffer overhead (next pointer,
-    /// validity bitmap rounded to whole octets).
-    pub fn sram_octets(&self) -> usize {
-        let per_buffer = self.cells_per_buffer * 48 + 4 + self.cells_per_buffer.div_ceil(8);
-        self.total_buffers * per_buffer
-    }
-}
-
 /// Why a cell could not be stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolError {
@@ -139,11 +129,6 @@ impl BufferPool {
             doomed: HashMap::new(),
             occupancy: OccupancyTracker::new(),
         }
-    }
-
-    /// Configuration in force.
-    pub fn config(&self) -> &PoolConfig {
-        &self.cfg
     }
 
     /// Discard policy in force.
@@ -224,10 +209,6 @@ impl BufferPool {
         }
     }
 
-    /// Buffers currently free.
-    pub fn free_buffers(&self) -> usize {
-        self.free
-    }
     /// Buffers currently chained to connections.
     pub fn in_use(&self) -> usize {
         self.cfg.total_buffers - self.free
@@ -317,22 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn sram_accounting() {
-        // 256 single-cell buffers: 256 × (48 + 4 + 1) = 13,568 octets.
-        let single = PoolConfig {
-            total_buffers: 256,
-            cells_per_buffer: 1,
-        };
-        assert_eq!(single.sram_octets(), 256 * 53);
-        // 8 × 32-cell containers: 8 × (1536 + 4 + 4) = 12,352.
-        let containers = PoolConfig {
-            total_buffers: 8,
-            cells_per_buffer: 32,
-        };
-        assert_eq!(containers.sram_octets(), 8 * 1544);
-    }
-
-    #[test]
     fn release_unknown_chain_is_zero() {
         let mut p = pool(4, 1);
         assert_eq!(p.release_chain(Time::ZERO, 9), 0);
@@ -398,7 +363,7 @@ mod tests {
             p.append_cell(Time::from_us(1), 0),
             Err(PoolError::PartialDiscard)
         );
-        assert_eq!(p.free_buffers(), 2, "frame 0's buffers reclaimed");
+        assert_eq!(p.in_use(), 1, "frame 0's buffers reclaimed");
         assert_eq!(p.admit(0, false), Err(PoolError::PartialDiscard));
         assert_eq!(
             p.append_cell(Time::from_us(1), 0),

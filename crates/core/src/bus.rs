@@ -23,7 +23,7 @@
 //! approximated by the fine interleaving of cell-scale requests).
 
 use hni_sim::{BusFaultPlan, Duration, Rng, Time};
-use hni_telemetry::{Activity, Component, Profiler};
+use hni_telemetry::{Activity, Component, NullProfiler, Profiler};
 
 /// Bus timing and width parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,11 +57,6 @@ impl BusConfig {
     /// Duration of one bus cycle.
     pub fn cycle(&self) -> Duration {
         Duration::from_s_f64(1.0 / (self.clock_mhz * 1e6))
-    }
-
-    /// Peak (zero-overhead) bandwidth in bytes/second.
-    pub fn peak_bytes_per_second(&self) -> f64 {
-        self.clock_mhz * 1e6 * self.word_bytes as f64
     }
 
     /// Time one burst of `words` data words occupies the bus.
@@ -136,16 +131,6 @@ impl Bus {
         }
     }
 
-    /// Parameters in force.
-    pub fn config(&self) -> &BusConfig {
-        &self.cfg
-    }
-
-    /// The fault plan in force (the empty plan for [`Bus::new`]).
-    pub fn faults(&self) -> &BusFaultPlan {
-        &self.faults
-    }
-
     /// Draw this grant's faults: extra stall time before the burst and
     /// whether the burst aborts and retries. Free when the plan is
     /// empty.
@@ -178,11 +163,8 @@ impl Bus {
     /// carrying `bytes` payload bytes. Returns when the burst completes
     /// (including any injected stall or retry).
     pub fn grant(&mut self, now: Time, words: u32, bytes: usize) -> Time {
-        let start = now.max(self.next_free);
-        let (stall, retry) = self.draw_faults();
-        let burst = self.cfg.burst_time(words);
-        let held = stall + burst + if retry { burst } else { Duration::ZERO };
-        self.commit(start, held, bytes)
+        // The null probe charges nothing, so the component is moot.
+        self.grant_profiled(now, words, bytes, Component::TxBus, &mut NullProfiler)
     }
 
     /// [`Bus::grant`] with cycle accounting: the burst's setup and
@@ -199,40 +181,36 @@ impl Bus {
         component: Component,
         profiler: &mut dyn Profiler,
     ) -> Time {
-        if !profiler.enabled() {
-            return self.grant(now, words, bytes);
-        }
         let start = now.max(self.next_free);
         let (stall, retry) = self.draw_faults();
-        let cycle = self.cfg.cycle();
-        let setup = cycle.times(self.cfg.burst_setup_cycles as u64);
-        let data = cycle.times(words as u64);
-        let turnaround = cycle.times(self.cfg.turnaround_cycles as u64);
-        let mut cursor = start;
-        if stall > Duration::ZERO {
-            // An injected stall is arbitration the burst lost.
-            profiler.charge(component, Activity::Arbitration, cursor, stall);
-            cursor += stall;
+        let burst = self.cfg.burst_time(words);
+        let held = stall + burst + if retry { burst } else { Duration::ZERO };
+        if profiler.enabled() {
+            let cycle = self.cfg.cycle();
+            let setup = cycle.times(self.cfg.burst_setup_cycles as u64);
+            let data = cycle.times(words as u64);
+            let turnaround = cycle.times(self.cfg.turnaround_cycles as u64);
+            let mut cursor = start;
+            if stall > Duration::ZERO {
+                // An injected stall is arbitration the burst lost.
+                profiler.charge(component, Activity::Arbitration, cursor, stall);
+                cursor += stall;
+            }
+            for _ in 0..if retry { 2 } else { 1 } {
+                profiler.charge(component, Activity::Arbitration, cursor, setup);
+                profiler.charge(component, Activity::Transfer, cursor + setup, data);
+                profiler.charge(
+                    component,
+                    Activity::Arbitration,
+                    cursor + setup + data,
+                    turnaround,
+                );
+                cursor += burst;
+            }
         }
-        for _ in 0..if retry { 2 } else { 1 } {
-            profiler.charge(component, Activity::Arbitration, cursor, setup);
-            profiler.charge(component, Activity::Transfer, cursor + setup, data);
-            profiler.charge(
-                component,
-                Activity::Arbitration,
-                cursor + setup + data,
-                turnaround,
-            );
-            cursor += setup + data + turnaround;
-        }
-        let held = cursor.saturating_since(start);
         self.commit(start, held, bytes)
     }
 
-    /// Earliest instant a new request could start.
-    pub fn next_free(&self) -> Time {
-        self.next_free
-    }
     /// Total time the bus has been occupied.
     pub fn busy_time(&self) -> Duration {
         self.busy
@@ -275,7 +253,8 @@ mod tests {
     #[test]
     fn peak_bandwidth() {
         let cfg = BusConfig::default();
-        assert_eq!(cfg.peak_bytes_per_second(), 100e6); // 100 MB/s
+        // 4-octet words every 40 ns: 100 MB/s with zero overhead.
+        assert_eq!(cfg.word_bytes, 4);
         assert_eq!(cfg.cycle(), Duration::from_ns(40));
     }
 

@@ -109,17 +109,6 @@ impl Cam {
         }
     }
 
-    /// Remove a mapping; returns whether it existed.
-    pub fn remove(&mut self, vc: VcId) -> bool {
-        match self.entries.remove(vc.cam_key() as u64) {
-            Some(index) => {
-                self.index_owner.remove(&index);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Look up a cell's VC (counts hit/miss).
     pub fn lookup(&mut self, vc: VcId) -> CamResult {
         match self.entries.get_by_key(vc.cam_key() as u64) {
@@ -141,10 +130,6 @@ impl Cam {
     /// Whether the CAM is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
     /// Lookups that matched.
     pub fn hits(&self) -> u64 {
@@ -195,15 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_frees_space() {
-        let mut cam = Cam::new(1);
-        cam.insert(VcId::new(0, 32), 0);
-        assert!(cam.remove(VcId::new(0, 32)));
-        assert!(!cam.remove(VcId::new(0, 32)));
-        assert!(cam.insert(VcId::new(0, 33), 1));
-    }
-
-    #[test]
     fn distinct_vpi_vci_do_not_collide() {
         // (vpi=1, vci=0) vs (vpi=0, vci=256) must be distinct keys —
         // guards the key packing.
@@ -242,14 +218,5 @@ mod tests {
         assert!(!cam.insert(VcId::new(0, 34), 2));
         assert_eq!(cam.lookup(VcId::new(0, 32)), CamResult::Hit(2));
         assert_eq!(cam.lookup(VcId::new(0, 33)), CamResult::Hit(1));
-    }
-
-    #[test]
-    fn remove_releases_index_for_reuse() {
-        let mut cam = Cam::new(8);
-        cam.insert(VcId::new(0, 32), 9);
-        assert!(!cam.insert(VcId::new(0, 33), 9));
-        cam.remove(VcId::new(0, 32));
-        assert!(cam.insert(VcId::new(0, 33), 9), "freed index is reusable");
     }
 }

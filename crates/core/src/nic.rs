@@ -164,11 +164,6 @@ impl Nic {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &NicConfig {
-        &self.cfg
-    }
-
     /// Open a connection: installs the CAM entry both directions use.
     pub fn open_vc(&mut self, vc: VcId) -> Result<(), NicError> {
         let idx = self.next_conn_index;
@@ -178,11 +173,6 @@ impl Nic {
         } else {
             Err(NicError::CamFull)
         }
-    }
-
-    /// Close a connection.
-    pub fn close_vc(&mut self, vc: VcId) -> bool {
-        self.cam.remove(vc)
     }
 
     /// Segment and queue an SDU for transmission on `vc`.
@@ -701,8 +691,6 @@ mod tests {
         nic.open_vc(VcId::new(0, 32)).unwrap();
         nic.open_vc(VcId::new(0, 33)).unwrap();
         assert_eq!(nic.open_vc(VcId::new(0, 34)), Err(NicError::CamFull));
-        nic.close_vc(VcId::new(0, 32));
-        assert!(nic.open_vc(VcId::new(0, 34)).is_ok());
     }
 }
 

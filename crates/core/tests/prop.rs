@@ -1,12 +1,16 @@
 //! Property-based tests for the host-interface core.
 
+use hni_aal::aal34::{Aal34Reassembler, Aal34Segmenter};
+use hni_aal::aal5::{self, Aal5Reassembler};
 use hni_aal::AalType;
-use hni_atm::VcId;
+use hni_atm::{Cell, HeaderRepr, OamCell, Pti, VcId, CELL_SIZE, PAYLOAD_SIZE};
 use hni_core::bufpool::{BufferPool, PoolConfig};
 use hni_core::engine::HwPartition;
 use hni_core::rxsim::{run_rx, RxConfig, RxWorkload};
 use hni_core::txsim::{run_tx, TxConfig, TxPacket};
-use hni_sim::{Duration, Time};
+use hni_core::{Nic, NicConfig, NicEvent};
+use hni_sim::link::apply_bit_errors;
+use hni_sim::{Duration, Rng, Time};
 use hni_sonet::LineRate;
 use proptest::prelude::*;
 
@@ -211,5 +215,181 @@ proptest! {
             r.latency_us.min(),
             propagation.as_us_f64()
         );
+    }
+}
+
+fn random_bytes(rng: &mut Rng, n: u64) -> Vec<u8> {
+    (0..n).map(|_| rng.next_u64() as u8).collect()
+}
+
+/// One `Nic` sends SDUs and OAM loopbacks on five VCs, one of them
+/// unknown to the receiver. Each of its frames is left clean or
+/// damaged — bit flips, truncation, appended junk or a whole random
+/// frame — and fed to a second `Nic` in ragged chunks, every event
+/// polled. Returns the SDUs delivered.
+fn damaged_line_into_nic(rng: &mut Rng, aal: AalType, rate: LineRate, frames: usize) -> u64 {
+    let mut cfg = NicConfig::paper(rate);
+    cfg.aal = aal;
+    // Short enough that stranded partial frames expire within the run.
+    cfg.reassembly_timeout = Duration::from_us(500);
+    let mut tx = Nic::new(cfg.clone());
+    let mut rx = Nic::new(cfg);
+    for vci in 32..37 {
+        tx.open_vc(VcId::new(0, vci)).unwrap();
+    }
+    for vci in 32..36 {
+        rx.open_vc(VcId::new(0, vci)).unwrap();
+    }
+    let mut now = Time::ZERO;
+    // Clean idle frames first, so the damage reaches a receiver that
+    // is in frame and cell sync.
+    for _ in 0..4 {
+        rx.receive_line_octets(&tx.frame_tick(), now);
+    }
+    for _ in 0..frames {
+        while tx.tx_backlog_cells() < 200 {
+            let vc = VcId::new(0, 32 + rng.below(5) as u16);
+            if rng.chance(0.1) {
+                tx.send_oam_loopback(vc, rng.next_u64() as u32).unwrap();
+            } else {
+                let len = rng.below(3_000);
+                tx.send(vc, random_bytes(rng, len), now).unwrap();
+            }
+        }
+        let mut line = tx.frame_tick();
+        match rng.below(8) {
+            0..=3 => {}
+            4 => {
+                let bits: Vec<u64> = (0..=rng.below(8))
+                    .map(|_| rng.below(line.len() as u64 * 8))
+                    .collect();
+                apply_bit_errors(&mut line, &bits);
+            }
+            5 => line.truncate(rng.below(line.len() as u64) as usize),
+            6 => {
+                let junk = 1 + rng.below(500);
+                line.extend(random_bytes(rng, junk));
+            }
+            _ => line = random_bytes(rng, line.len() as u64),
+        }
+        let mut rest = &line[..];
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at((1 + rng.below(1_500) as usize).min(rest.len()));
+            rx.receive_line_octets(chunk, now);
+            while let Some(ev) = rx.poll() {
+                if let NicEvent::PacketReceived { data, .. } = ev {
+                    rx.recycle_sdu_buffer(data);
+                }
+            }
+            rest = tail;
+        }
+        now += Duration::from_us(125);
+    }
+    rx.expire(now + Duration::from_s(1));
+    while rx.poll().is_some() {}
+    rx.sdus_received()
+}
+
+/// `n` cells, nine in ten on three VCs, into both reassemblers and the
+/// OAM codec. The stream mixes segmented frames of either AAL (with
+/// lost, duplicated and bit-flipped cells), OAM loopback cells, valid
+/// headers of any payload type over random payloads, and 53 random
+/// octets, with some neighbours swapped.
+fn arbitrary_cells_into_reassemblers(rng: &mut Rng, n: usize) {
+    let max_sdu = if rng.chance(0.5) {
+        65_535
+    } else {
+        1 + rng.below(2_000) as usize
+    };
+    let timeout = Duration::from_us(1 + rng.below(1_000));
+    let mut r5 = Aal5Reassembler::new(max_sdu, timeout);
+    let mut r34 = Aal34Reassembler::new(max_sdu, timeout);
+    let mut seg34 = Aal34Segmenter::new();
+    let mut cells: Vec<Cell> = Vec::with_capacity(n);
+    while cells.len() < n {
+        let vc = if rng.chance(0.9) {
+            VcId::new(0, 32 + rng.below(3) as u16)
+        } else {
+            VcId::new(rng.below(256) as u16, rng.below(65_536) as u16)
+        };
+        match rng.below(4) {
+            0 => {
+                let len = rng.below(3_000);
+                let sdu = random_bytes(rng, len);
+                let frame = if rng.chance(0.5) {
+                    aal5::segment(vc, &sdu, 0)
+                } else {
+                    seg34.segment(vc, rng.below(4) as u16, &sdu)
+                };
+                for cell in frame {
+                    if rng.chance(0.05) {
+                        continue;
+                    }
+                    let mut bytes = *cell.as_bytes();
+                    if rng.chance(0.05) {
+                        apply_bit_errors(&mut bytes, &[rng.below(CELL_SIZE as u64 * 8)]);
+                    }
+                    cells.push(Cell::from_bytes(bytes));
+                    if rng.chance(0.02) {
+                        cells.push(Cell::from_bytes(bytes));
+                    }
+                }
+            }
+            1 => cells.push(OamCell::loopback_request(rng.next_u64() as u32).emit(vc)),
+            2 => {
+                let header = HeaderRepr {
+                    pti: Pti::from_bits(rng.below(8) as u8),
+                    ..HeaderRepr::data(vc, false)
+                };
+                let payload: [u8; PAYLOAD_SIZE] =
+                    random_bytes(rng, PAYLOAD_SIZE as u64).try_into().unwrap();
+                cells.push(Cell::new(&header, &payload).unwrap());
+            }
+            _ => cells.push(Cell::from_bytes(
+                random_bytes(rng, CELL_SIZE as u64).try_into().unwrap(),
+            )),
+        }
+    }
+    for i in 1..cells.len() {
+        if rng.chance(0.02) {
+            cells.swap(i - 1, i);
+        }
+    }
+    let mut now = Time::ZERO;
+    for cell in &cells {
+        if let Some(Ok(sdu)) = r5.push(cell, now) {
+            r5.recycle(sdu.data);
+        }
+        let _ = r34.push(cell, now);
+        let _ = OamCell::parse(cell);
+        now += Duration::from_ns(rng.below(5_000));
+        if rng.chance(0.01) {
+            r5.expire(now);
+            r34.expire(now);
+        }
+    }
+    r5.expire(now + Duration::from_s(1));
+    r34.expire(now + Duration::from_s(1));
+}
+
+proptest! {
+    // Sized to run in about 2 s in the debug test profile.
+    #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// Wire-facing entry points never panic: damaged line octets into
+    /// `Nic::receive_line_octets` for both AALs at OC-3 and OC-12, and
+    /// arbitrary cells into both reassemblers and `OamCell::parse`.
+    #[test]
+    fn wire_facing_entry_points_never_panic(seed in any::<u64>()) {
+        let mut rng = Rng::new(seed);
+        let mut delivered = 0;
+        for aal in [AalType::Aal5, AalType::Aal34] {
+            for rate in [LineRate::Oc3, LineRate::Oc12] {
+                delivered += damaged_line_into_nic(&mut rng, aal, rate, 16);
+            }
+        }
+        // Some SDUs survived, so the line reached reassembly.
+        prop_assert!(delivered > 0);
+        arbitrary_cells_into_reassemblers(&mut rng, 5_000);
     }
 }

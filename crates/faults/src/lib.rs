@@ -30,28 +30,10 @@ pub use hni_sim::faults::{
 };
 
 /// Named fault scenarios with parameters grounded in the ATM
-/// literature, so experiments and examples agree on what "a congested
-/// switch" or "a dirty fibre" means.
+/// literature, so experiments and examples agree on what "bursty
+/// congestion" or "a satellite hop" means.
 pub mod scenarios {
     use super::*;
-
-    /// Nothing goes wrong. Draws zero randomness — the control arm.
-    pub fn clean() -> FaultPlan {
-        FaultPlan::NONE
-    }
-
-    /// A congested switch on the path: i.i.d. cell loss at rate `p`,
-    /// nothing else. This is the degenerate one-state plan the R-F5
-    /// goodput experiment sweeps.
-    pub fn switch_loss(p: f64) -> FaultPlan {
-        FaultPlan::loss(p)
-    }
-
-    /// A marginal optical section: i.i.d. bit errors at `ber`, no cell
-    /// loss (HEC and AAL CRCs do the discarding downstream).
-    pub fn dirty_fibre(ber: f64) -> FaultPlan {
-        FaultPlan::ber(ber)
-    }
 
     /// Bursty congestion: a Gilbert–Elliott loss chain whose Bad state
     /// models a switch buffer overflowing for `burst_cells` cells on
@@ -71,26 +53,6 @@ pub mod scenarios {
             good: 0.0,
             bad,
         })
-    }
-
-    /// A misbehaving multipath segment: duplication and bounded
-    /// reordering but no loss — the pathologies reassembly must shrug
-    /// off without ever delivering a corrupt frame.
-    pub fn jittery_path(dup: f64, reorder: f64, span: u32) -> FaultPlan {
-        FaultPlan::NONE
-            .with_duplication(dup)
-            .with_reorder(reorder, span)
-    }
-
-    /// A bus under contention from an unmodelled third agent:
-    /// occasional arbitration stalls and rare aborted bursts.
-    pub fn contended_bus(seed: u64) -> BusFaultPlan {
-        BusFaultPlan {
-            stall_probability: 0.05,
-            stall_cycles: 8,
-            retry_probability: 0.01,
-            seed,
-        }
     }
 
     /// A campus/LAN path: ~5 µs one way (a kilometre of fibre plus a
@@ -200,18 +162,9 @@ mod tests {
 
     #[test]
     fn scenarios_are_valid_plans() {
-        for plan in [
-            scenarios::clean(),
-            scenarios::switch_loss(0.01),
-            scenarios::dirty_fibre(1e-6),
-            scenarios::bursty_congestion(0.01, 12.0),
-            scenarios::jittery_path(0.02, 0.05, 4),
-        ] {
-            plan.validate();
-        }
-        scenarios::contended_bus(7).validate();
-        assert!(scenarios::clean().is_none());
-        assert!(!scenarios::bursty_congestion(0.01, 12.0).is_none());
+        let plan = scenarios::bursty_congestion(0.01, 12.0);
+        plan.validate();
+        assert!(!plan.is_none());
     }
 
     #[test]
@@ -219,7 +172,7 @@ mod tests {
         let lan = scenarios::lan_path();
         let wan = scenarios::wan_path();
         let sat = scenarios::satellite_path();
-        assert!(lan.is_fixed());
+        assert_eq!(lan.jitter, hni_sim::Duration::ZERO);
         assert!(lan.base < wan.base && wan.base < sat.base);
         // The satellite preset must put the round trip past the 500 ms
         // long-delay threshold even with zero jitter drawn.

@@ -106,18 +106,6 @@ impl RxHostModel {
         t
     }
 
-    /// The packet rate at which the CPU saturates, for fixed-size
-    /// packets (interrupt share included).
-    pub fn saturation_packets_per_second(&self, bytes: usize) -> f64 {
-        let isr_share = match self.interrupts {
-            InterruptMode::PerPacket => self.cpu.instr_time(self.costs.isr_instr),
-            InterruptMode::Coalesced { max_packets, .. } => Duration::from_ps(
-                self.cpu.instr_time(self.costs.isr_instr).as_ps() / max_packets as u64,
-            ),
-        };
-        1.0 / (self.per_packet_time(bytes) + isr_share).as_s_f64()
-    }
-
     /// Replay `arrivals` (time-sorted `(time, bytes)` pairs): a serial
     /// CPU takes interrupts per the policy and processes packets FIFO.
     pub fn process(&self, arrivals: &[(Time, usize)]) -> HostRxReport {
@@ -295,12 +283,6 @@ mod tests {
         // For packets smaller than remap_instr worth of copying, copy wins.
         // remap = 250 instr = 10 µs; copy of 64 B = 1.28 µs.
         assert!(copy.per_packet_time(64) < remap.per_packet_time(64));
-    }
-
-    #[test]
-    fn saturation_rate_orders_by_packet_size() {
-        let m = model(InterruptMode::PerPacket, true);
-        assert!(m.saturation_packets_per_second(64) > m.saturation_packets_per_second(9180));
     }
 
     #[test]

@@ -10,22 +10,14 @@
 //! * [`driver`] — what receiving a packet costs the kernel: interrupt
 //!   entry/exit, descriptor ring work, protocol stack, and delivery to
 //!   the application by copy or by page remap; interrupt coalescing.
-//! * [`txhost`] — what *sending* costs: syscall, descriptor post,
-//!   copy-into-pinned vs gather DMA.
 //! * [`softsar`] — the baseline architecture the paper argues against:
 //!   segmentation and reassembly done *by the host CPU itself*, with
 //!   per-cell programmed I/O to a dumb interface.
-//! * [`app`] — application traffic models (greedy, CBR, Poisson) used
-//!   as workload generators by the benchmark harness.
 
-pub mod app;
 pub mod cpu;
 pub mod driver;
 pub mod softsar;
-pub mod txhost;
 
-pub use app::{CbrSource, GreedySource, PoissonSource};
 pub use cpu::HostCpu;
 pub use driver::{DriverCosts, HostRxReport, InterruptMode, RxHostModel};
 pub use softsar::SoftSar;
-pub use txhost::{TxDriverCosts, TxHostModel};

@@ -85,12 +85,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -123,11 +117,6 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + after, payload);
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Deliver the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         let e = self.heap.pop()?;
@@ -135,23 +124,6 @@ impl<E> EventQueue<E> {
         self.now = e.at;
         self.delivered += 1;
         Some((e.at, e.payload))
-    }
-
-    /// Deliver the next event only if it fires at or before `deadline`.
-    ///
-    /// If the next event is later than `deadline`, the clock advances to
-    /// `deadline` and `None` is returned — useful for running a simulation
-    /// "for 10 ms" regardless of what is pending.
-    pub fn pop_until(&mut self, deadline: Time) -> Option<(Time, E)> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => {
-                if deadline > self.now {
-                    self.now = deadline;
-                }
-                None
-            }
-        }
     }
 }
 
@@ -207,27 +179,6 @@ mod tests {
         q.pop();
         q.schedule_in(Duration::from_ns(5), 2);
         assert_eq!(q.pop(), Some((Time::from_ns(15), 2)));
-    }
-
-    #[test]
-    fn pop_until_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from_ns(100), "late");
-        assert_eq!(q.pop_until(Time::from_ns(50)), None);
-        assert_eq!(q.now(), Time::from_ns(50));
-        assert_eq!(
-            q.pop_until(Time::from_ns(200)),
-            Some((Time::from_ns(100), "late"))
-        );
-    }
-
-    #[test]
-    fn pop_until_never_rewinds_clock() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.schedule(Time::from_ns(100), ());
-        q.pop();
-        assert_eq!(q.pop_until(Time::from_ns(50)), None);
-        assert_eq!(q.now(), Time::from_ns(100));
     }
 
     #[test]

@@ -256,11 +256,6 @@ impl UnitFate {
         displaced: 0,
         flipped_bits: Vec::new(),
     };
-
-    /// Did anything at all happen to this unit?
-    pub fn is_clean(&self) -> bool {
-        !self.lost && !self.duplicated && self.displaced == 0 && self.flipped_bits.is_empty()
-    }
 }
 
 /// A seeded fault plan bound to its channel state and RNG stream:
@@ -275,7 +270,6 @@ pub struct FaultInjector {
     lost: u64,
     duplicated: u64,
     displaced: u64,
-    flipped: u64,
 }
 
 impl FaultInjector {
@@ -291,7 +285,6 @@ impl FaultInjector {
             lost: 0,
             duplicated: 0,
             displaced: 0,
-            flipped: 0,
         }
     }
 
@@ -332,7 +325,6 @@ impl FaultInjector {
                 }
                 flipped.push(pos - 1);
             }
-            self.flipped += flipped.len() as u64;
         }
         let duplicated = self.rng.chance(self.plan.duplication);
         if duplicated {
@@ -353,10 +345,6 @@ impl FaultInjector {
         }
     }
 
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
     /// Units offered so far.
     pub fn units(&self) -> u64 {
         self.units
@@ -372,10 +360,6 @@ impl FaultInjector {
     /// Units delivered out of order.
     pub fn displaced(&self) -> u64 {
         self.displaced
-    }
-    /// Total bits inverted.
-    pub fn total_flipped_bits(&self) -> u64 {
-        self.flipped
     }
     /// Raw RNG values consumed — zero for the empty plan, forever.
     pub fn rng_draws(&self) -> u64 {
@@ -421,12 +405,6 @@ impl DelayModel {
         DelayModel { base, jitter }
     }
 
-    /// True when every unit sees exactly `base` — the deterministic
-    /// fast path that must consume no randomness.
-    pub fn is_fixed(&self) -> bool {
-        self.jitter == Duration::ZERO
-    }
-
     /// Worst-case one-way delay under this model.
     pub fn max_delay(&self) -> Duration {
         self.base + self.jitter
@@ -461,11 +439,6 @@ impl DelayLine {
         }
         let extra = self.rng.below(self.model.jitter.as_ps() + 1);
         self.model.base + Duration::from_ps(extra)
-    }
-
-    /// The model this line executes.
-    pub fn model(&self) -> &DelayModel {
-        &self.model
     }
 
     /// Raw RNG values consumed — zero for a jitterless model, forever.
@@ -528,7 +501,7 @@ mod tests {
         let mut inj = FaultInjector::seeded(FaultPlan::NONE, 7);
         for _ in 0..10_000 {
             let fate = inj.fate(424);
-            assert!(fate.is_clean());
+            assert_eq!(fate, UnitFate::CLEAN);
         }
         assert_eq!(inj.rng_draws(), 0, "empty plan must consume no randomness");
         assert_eq!(inj.units(), 10_000);
@@ -564,7 +537,6 @@ mod tests {
             (observed - ber).abs() / ber < 0.1,
             "observed BER {observed}"
         );
-        assert_eq!(inj.total_flipped_bits(), flips);
     }
 
     #[test]
@@ -657,7 +629,7 @@ mod tests {
     #[test]
     fn fixed_delay_line_is_free() {
         let model = DelayModel::fixed(Duration::from_ms(270));
-        assert!(model.is_fixed());
+        assert_eq!(model.jitter, Duration::ZERO);
         let mut line = DelayLine::seeded(model, 3);
         for _ in 0..10_000 {
             assert_eq!(line.delay(), Duration::from_ms(270));
@@ -672,7 +644,7 @@ mod tests {
     #[test]
     fn jittered_delay_bounded_and_deterministic() {
         let model = DelayModel::jittered(Duration::from_us(500), Duration::from_us(100));
-        assert!(!model.is_fixed());
+        assert_ne!(model.jitter, Duration::ZERO);
         assert_eq!(model.max_delay(), Duration::from_us(600));
         let run = |seed| {
             let mut line = DelayLine::seeded(model, seed);

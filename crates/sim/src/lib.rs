@@ -3,8 +3,8 @@
 //! This crate is the simulation kernel underneath the whole `hni` workspace.
 //! It deliberately contains **no networking knowledge**: just time, a
 //! deterministic event queue, a deterministic PRNG, statistics collectors,
-//! bounded FIFOs with occupancy accounting, and a lossy/erroring link model
-//! that higher layers parameterise with their own payload types.
+//! occupancy accounting, and a lossy/erroring link model that higher layers
+//! parameterise with their own payload types.
 //!
 //! ## Design rules
 //!
@@ -19,9 +19,9 @@
 //!   exactly the quantities the paper's delay analysis cares about. A `u64`
 //!   of picoseconds spans ~213 days of simulated time — far beyond any
 //!   experiment here.
-//! * **No allocation on the hot path.** Queues are ring buffers; statistics
-//!   are fixed-size; event entries are moved, not boxed (the event payload
-//!   type is chosen by the embedding simulation).
+//! * **No allocation on the hot path.** Statistics are fixed-size; event
+//!   entries are moved, not boxed (the event payload type is chosen by the
+//!   embedding simulation).
 //!
 //! ## Non-goals
 //!
@@ -32,7 +32,6 @@
 pub mod event;
 pub mod faults;
 pub mod link;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -42,7 +41,6 @@ pub use faults::{
     BusFaultPlan, DelayLine, DelayModel, FaultInjector, FaultPlan, FaultProcess, GeParams, UnitFate,
 };
 pub use link::{Link, LinkDelivery};
-pub use queue::BoundedFifo;
 pub use rng::{Rng, Zipf};
 pub use stats::{Histogram, OccupancyTracker, Summary, HIST_BUCKETS};
 pub use time::{Duration, Time};

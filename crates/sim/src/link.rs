@@ -68,11 +68,6 @@ impl Link {
         }
     }
 
-    /// Line rate in bits per second.
-    pub fn bits_per_second(&self) -> f64 {
-        self.bits_per_second
-    }
-
     /// One-way propagation delay.
     pub fn propagation(&self) -> Duration {
         self.propagation
@@ -109,47 +104,9 @@ impl Link {
         }
     }
 
-    /// Transmit a batch of equal-size units back to back, offered at
-    /// `now`, appending one [`LinkDelivery`] per unit to `out` in offer
-    /// order.
-    ///
-    /// Semantically identical to calling [`Link::send`] in a loop — the
-    /// units still serialize one after another and each draws its own
-    /// fate — but lets burst-oriented callers move a whole cell batch
-    /// across the link in one call without an intermediate `Vec` per
-    /// cell.
-    pub fn send_burst(
-        &mut self,
-        now: Time,
-        bits_per_unit: u64,
-        units: usize,
-        out: &mut Vec<LinkDelivery>,
-    ) {
-        out.reserve(units);
-        for _ in 0..units {
-            out.push(self.send(now, bits_per_unit));
-        }
-    }
-
-    /// Units offered to the link so far.
-    pub fn sent_units(&self) -> u64 {
-        self.injector.units()
-    }
     /// Units the fault plan destroyed.
     pub fn lost_units(&self) -> u64 {
         self.injector.lost()
-    }
-    /// Units the fault plan delivered twice.
-    pub fn duplicated_units(&self) -> u64 {
-        self.injector.duplicated()
-    }
-    /// Units the fault plan delivered out of order.
-    pub fn reordered_units(&self) -> u64 {
-        self.injector.displaced()
-    }
-    /// Total bits the fault plan inverted.
-    pub fn total_flipped_bits(&self) -> u64 {
-        self.injector.total_flipped_bits()
     }
     /// Raw RNG values the fault plan has consumed (zero when the plan
     /// is [`FaultPlan::NONE`] — the faultless fast path is free).
@@ -209,7 +166,6 @@ mod tests {
             l.send(Time::from_us(i * 10), 424);
         }
         assert_eq!(l.rng_draws(), 0);
-        assert_eq!(l.sent_units(), 1000);
     }
 
     #[test]
@@ -301,7 +257,6 @@ mod tests {
             }
             _ => panic!(),
         }
-        assert_eq!(l.duplicated_units(), 1);
     }
 
     #[test]
@@ -322,7 +277,6 @@ mod tests {
             }
             t = l.next_free();
         }
-        assert_eq!(l.reordered_units(), 200);
     }
 
     #[test]
@@ -358,29 +312,6 @@ mod tests {
         // Out-of-range positions are ignored.
         apply_bit_errors(&mut buf, &[100]);
         assert_eq!(buf, [0x80, 0x81]);
-    }
-
-    #[test]
-    fn send_burst_matches_serial_sends() {
-        let serial = {
-            let mut l = Link::new(
-                1e9,
-                Duration::from_us(10),
-                FaultPlan::loss(0.2),
-                Rng::new(7),
-            );
-            (0..50).map(|_| l.send(Time::ZERO, 424)).collect::<Vec<_>>()
-        };
-        let mut l = Link::new(
-            1e9,
-            Duration::from_us(10),
-            FaultPlan::loss(0.2),
-            Rng::new(7),
-        );
-        let mut burst = Vec::new();
-        l.send_burst(Time::ZERO, 424, 50, &mut burst);
-        assert_eq!(burst, serial);
-        assert_eq!(l.sent_units(), 50);
     }
 
     #[test]

@@ -126,22 +126,6 @@ impl Rng {
         g + 1
     }
 
-    /// Exponentially distributed value with the given mean.
-    #[inline]
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0);
-        let u = self.f64().max(f64::MIN_POSITIVE);
-        -mean * u.ln()
-    }
-
-    /// Fork an independent generator, advancing this one.
-    ///
-    /// Components get their own forked stream so that adding a sampler to
-    /// one component does not perturb another component's randomness.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
-
     /// Shuffle a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -186,11 +170,6 @@ impl Zipf {
             *c /= total;
         }
         Zipf { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
     }
 
     /// Draw one rank in `0..n` (rank 0 is the hottest).
@@ -309,27 +288,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(r.geometric(1.0), 1);
         }
-    }
-
-    #[test]
-    fn exponential_mean_close() {
-        let mut r = Rng::new(29);
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| r.exponential(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean={mean}");
-    }
-
-    #[test]
-    fn fork_streams_are_independent_and_deterministic() {
-        let mut a = Rng::new(5);
-        let mut b = Rng::new(5);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
-        for _ in 0..100 {
-            assert_eq!(fa.next_u64(), fb.next_u64());
-        }
-        // Parent advanced identically too.
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -64,16 +64,6 @@ impl Time {
     pub const fn as_ps(self) -> u64 {
         self.0
     }
-    /// Value in (fractional) nanoseconds.
-    #[inline]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_NS as f64
-    }
-    /// Value in (fractional) microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_US as f64
-    }
     /// Value in (fractional) seconds.
     #[inline]
     pub fn as_s_f64(self) -> f64 {
@@ -94,8 +84,6 @@ impl Time {
 impl Duration {
     /// Zero-length span.
     pub const ZERO: Duration = Duration(0);
-    /// The largest representable span.
-    pub const MAX: Duration = Duration(u64::MAX);
 
     /// Construct from picoseconds.
     #[inline]
@@ -162,12 +150,6 @@ impl Duration {
     #[inline]
     pub fn as_s_f64(self) -> f64 {
         self.0 as f64 / PS_PER_S as f64
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, rhs: Duration) -> Duration {
-        Duration(self.0.saturating_sub(rhs.0))
     }
 
     /// Multiply by an integer count.

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation kernel.
 
-use hni_sim::{BoundedFifo, Duration, EventQueue, Histogram, OccupancyTracker, Rng, Summary, Time};
+use hni_sim::{Duration, EventQueue, Histogram, OccupancyTracker, Rng, Summary, Time};
 use proptest::prelude::*;
 
 proptest! {
@@ -55,41 +55,6 @@ proptest! {
         prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
         prop_assert_eq!(s.min(), xs.iter().cloned().fold(f64::INFINITY, f64::min));
         prop_assert_eq!(s.max(), xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
-    }
-
-    /// FIFO never exceeds capacity, preserves order, counts drops
-    /// exactly — against a reference model.
-    #[test]
-    fn fifo_reference_model(cap in 1usize..32,
-                            ops in proptest::collection::vec(any::<bool>(), 1..400)) {
-        let mut fifo = BoundedFifo::new(cap);
-        let mut reference: Vec<u32> = Vec::new();
-        let mut next = 0u32;
-        let mut drops = 0u64;
-        let mut popped_fifo = Vec::new();
-        let mut popped_ref = Vec::new();
-        for push in ops {
-            if push {
-                if reference.len() < cap {
-                    reference.push(next);
-                    prop_assert!(fifo.push(Time::ZERO, next).is_ok());
-                } else {
-                    drops += 1;
-                    prop_assert!(fifo.push(Time::ZERO, next).is_err());
-                }
-                next += 1;
-            } else {
-                let a = fifo.pop(Time::ZERO);
-                let b = if reference.is_empty() { None } else { Some(reference.remove(0)) };
-                prop_assert_eq!(a, b);
-                if let Some(v) = a { popped_fifo.push(v); }
-                if let Some(v) = b { popped_ref.push(v); }
-            }
-            prop_assert!(fifo.len() <= cap);
-            prop_assert_eq!(fifo.len(), reference.len());
-        }
-        prop_assert_eq!(fifo.drops(), drops);
-        prop_assert_eq!(popped_fifo, popped_ref);
     }
 
     /// Occupancy tracker's time-weighted mean equals a direct integral.

@@ -78,13 +78,6 @@ impl FrameGeometry {
         self.rate.toh_columns()
     }
 
-    /// Whether `col` is a fixed-stuff column.
-    #[inline]
-    pub fn is_fixed_stuff(&self, col: usize) -> bool {
-        let start = self.poh_col() + 1;
-        col >= start && col < start + self.rate.fixed_stuff_columns()
-    }
-
     /// Whether `col` carries ATM payload.
     #[inline]
     pub fn is_payload(&self, col: usize) -> bool {
@@ -167,11 +160,6 @@ impl FrameBuilder {
             b2_next: vec![0; rate.sts_n()],
             b3_next: 0,
         }
-    }
-
-    /// Frames built so far.
-    pub fn frames_built(&self) -> u64 {
-        self.frame_count
     }
 
     /// Build one frame. `payload` must be exactly
@@ -285,7 +273,6 @@ pub struct ParsedFrame {
 /// Parses successive frames, tracking parity across them.
 pub struct FrameParser {
     geo: FrameGeometry,
-    frames: u64,
     /// Parity computed from the previous frame, to compare with the
     /// B1/B2/B3 octets carried in the current one.
     b1_expect: Option<u8>,
@@ -301,7 +288,6 @@ impl FrameParser {
     pub fn new(rate: LineRate) -> Self {
         FrameParser {
             geo: FrameGeometry::new(rate),
-            frames: 0,
             b1_expect: None,
             b2_expect: None,
             b3_expect: None,
@@ -311,10 +297,6 @@ impl FrameParser {
         }
     }
 
-    /// Frames parsed.
-    pub fn frames_parsed(&self) -> u64 {
-        self.frames
-    }
     /// Cumulative B1 bit errors.
     pub fn total_b1_errors(&self) -> u64 {
         self.total_b1_errors
@@ -427,7 +409,6 @@ impl FrameParser {
             }
         }
 
-        self.frames += 1;
         self.total_b1_errors += b1_errors as u64;
         self.total_b2_errors += b2_errors as u64;
         self.total_b3_errors += b3_errors as u64;
@@ -474,7 +455,6 @@ mod tests {
             assert_eq!(parsed.b2_errors, 0);
             assert_eq!(parsed.b3_errors, 0);
         }
-        assert_eq!(p.frames_parsed(), 5);
     }
 
     #[test]
@@ -589,25 +569,22 @@ mod tests {
             let mut stuff = 0;
             let mut pay = 0;
             for col in 0..rate.columns() {
-                let classes = [
-                    geo.is_toh(col),
-                    col == geo.poh_col(),
-                    geo.is_fixed_stuff(col),
-                    geo.is_payload(col),
-                ];
-                assert_eq!(
-                    classes.iter().filter(|&&c| c).count(),
-                    1,
-                    "column {col} must be exactly one class"
+                let classes = [geo.is_toh(col), col == geo.poh_col(), geo.is_payload(col)];
+                assert!(
+                    classes.iter().filter(|&&c| c).count() <= 1,
+                    "column {col} must be at most one class"
                 );
                 if classes[0] {
                     toh += 1
                 } else if classes[1] {
                     poh += 1
                 } else if classes[2] {
-                    stuff += 1
-                } else {
                     pay += 1
+                } else {
+                    // Neither overhead nor payload: fixed stuff, which
+                    // follows the path-overhead column.
+                    assert!(col > geo.poh_col(), "column {col} unclassified");
+                    stuff += 1
                 }
             }
             assert_eq!(toh, rate.toh_columns());

@@ -97,11 +97,6 @@ impl LineRate {
     pub fn cell_line_time(self) -> Duration {
         Duration::for_bits(424, self.line_bps())
     }
-
-    /// Frame duration: always 125 µs.
-    pub fn frame_time(self) -> Duration {
-        Duration::from_us(125)
-    }
 }
 
 #[cfg(test)]

@@ -26,11 +26,6 @@ impl FrameScrambler {
         FrameScrambler { state: 0x7F }
     }
 
-    /// Reset to the all-ones state (do this at each frame boundary).
-    pub fn reset(&mut self) {
-        self.state = 0x7F;
-    }
-
     /// Next octet of the scrambling sequence.
     #[inline]
     pub fn next_octet(&mut self) -> u8 {
@@ -45,13 +40,6 @@ impl FrameScrambler {
         }
         out
     }
-
-    /// Scramble (or descramble — same operation) a buffer in place.
-    pub fn apply(&mut self, buf: &mut [u8]) {
-        for b in buf {
-            *b ^= self.next_octet();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -61,12 +49,14 @@ mod tests {
     #[test]
     fn involution() {
         let original: Vec<u8> = (0..300).map(|i| (i * 89 % 256) as u8).collect();
+        let scramble = |buf: &mut [u8]| {
+            let mut s = FrameScrambler::new();
+            buf.iter_mut().for_each(|b| *b ^= s.next_octet());
+        };
         let mut buf = original.clone();
-        let mut s = FrameScrambler::new();
-        s.apply(&mut buf);
+        scramble(&mut buf);
         assert_ne!(buf, original);
-        let mut d = FrameScrambler::new();
-        d.apply(&mut buf);
+        scramble(&mut buf);
         assert_eq!(buf, original);
     }
 
@@ -96,14 +86,5 @@ mod tests {
         // from feedback; the canonical first scrambler octet is 0xFE.
         let mut s = FrameScrambler::new();
         assert_eq!(s.next_octet(), 0xFE);
-    }
-
-    #[test]
-    fn reset_restarts_sequence() {
-        let mut s = FrameScrambler::new();
-        let a = s.next_octet();
-        s.next_octet();
-        s.reset();
-        assert_eq!(s.next_octet(), a);
     }
 }

@@ -43,7 +43,6 @@ pub struct FrameAligner {
     buf: Vec<u8>,
     acquisitions: u64,
     losses: u64,
-    frames_emitted: u64,
 }
 
 impl FrameAligner {
@@ -55,7 +54,6 @@ impl FrameAligner {
             buf: Vec::new(),
             acquisitions: 0,
             losses: 0,
-            frames_emitted: 0,
         }
     }
 
@@ -74,10 +72,6 @@ impl FrameAligner {
     /// Times alignment has been lost.
     pub fn losses(&self) -> u64 {
         self.losses
-    }
-    /// Frames emitted.
-    pub fn frames_emitted(&self) -> u64 {
-        self.frames_emitted
     }
 
     fn pattern_at(&self, pos: usize) -> bool {
@@ -153,7 +147,6 @@ impl FrameAligner {
                     let frame: Vec<u8> = self.buf.drain(..flen).collect();
                     if ok {
                         self.state = FrameSyncState::Sync { misses: 0 };
-                        self.frames_emitted += 1;
                         out.push(frame);
                     } else {
                         let misses = misses + 1;
@@ -164,7 +157,6 @@ impl FrameAligner {
                             // Tolerate the miss: slice on last known
                             // alignment and still deliver.
                             self.state = FrameSyncState::Sync { misses };
-                            self.frames_emitted += 1;
                             out.push(frame);
                         }
                     }

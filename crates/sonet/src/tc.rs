@@ -123,7 +123,6 @@ pub struct TcReceiver {
     descrambler: Descrambler,
     frame_errors: u64,
     data_cells: u64,
-    idle_cells: u64,
     /// Reusable frame scratch (outer Vec capacity persists across calls).
     frames: Vec<Vec<u8>>,
     /// Reusable delineated-cell scratch.
@@ -140,7 +139,6 @@ impl TcReceiver {
             descrambler: Descrambler::new(),
             frame_errors: 0,
             data_cells: 0,
-            idle_cells: 0,
             frames: Vec::new(),
             cells: Vec::new(),
         }
@@ -166,10 +164,6 @@ impl TcReceiver {
     pub fn data_cells(&self) -> u64 {
         self.data_cells
     }
-    /// Idle cells removed.
-    pub fn idle_cells(&self) -> u64 {
-        self.idle_cells
-    }
 
     /// Feed received line octets; recovered data cells are appended to
     /// `out`.
@@ -194,9 +188,7 @@ impl TcReceiver {
             payload.copy_from_slice(cell.payload());
             self.descrambler.descramble(&mut payload);
             cell.payload_mut().copy_from_slice(&payload);
-            if cell.is_idle() || cell.is_unassigned() {
-                self.idle_cells += 1;
-            } else {
+            if !cell.is_idle() && !cell.is_unassigned() {
                 self.data_cells += 1;
                 out.push(cell);
             }

@@ -82,11 +82,6 @@ impl Switch {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &SwitchConfig {
-        &self.cfg
-    }
-
     /// Install a route: cells of `in_vc` arriving on `in_port` leave on
     /// `route.out_port` relabelled as `route.out_vc`.
     ///
@@ -95,11 +90,6 @@ impl Switch {
     pub fn add_route(&mut self, in_port: usize, in_vc: VcId, route: RouteEntry) {
         assert!(in_port < self.cfg.ports && route.out_port < self.cfg.ports);
         self.routes.insert((in_port, in_vc), route);
-    }
-
-    /// Remove a route; returns whether it existed.
-    pub fn remove_route(&mut self, in_port: usize, in_vc: VcId) -> bool {
-        self.routes.remove(&(in_port, in_vc)).is_some()
     }
 
     /// Offer one cell arriving on `in_port` at time `now`.
@@ -244,21 +234,6 @@ impl Switch {
     /// Cells that matched no route (or had undecodable headers).
     pub fn unroutable(&self) -> u64 {
         self.unroutable
-    }
-
-    /// Overall loss ratio across all ports (dropped / offered).
-    pub fn loss_ratio(&self) -> f64 {
-        let offered: u64 = self.stats.iter().map(|s| s.offered).sum();
-        let dropped: u64 = self
-            .stats
-            .iter()
-            .map(|s| s.dropped_full + s.dropped_clp)
-            .sum();
-        if offered == 0 {
-            0.0
-        } else {
-            dropped as f64 / offered as f64
-        }
     }
 }
 
@@ -408,7 +383,10 @@ mod tests {
             sw.offer(0, &c, Time::ZERO);
         }
         // 4 offered, 2 queued, 2 dropped.
-        assert!((sw.loss_ratio() - 0.5).abs() < 1e-12);
+        let s = sw.port_stats(1);
+        assert_eq!(s.offered, 4);
+        assert_eq!(sw.queue_len(1), 2);
+        assert_eq!(s.dropped_full + s.dropped_clp, 2);
     }
 }
 

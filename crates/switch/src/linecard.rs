@@ -32,10 +32,6 @@ impl LineCard {
     pub fn receiver(&self) -> &TcReceiver {
         &self.rx
     }
-    /// Transmit-side TC statistics.
-    pub fn transmitter(&self) -> &TcTransmitter {
-        &self.tx
-    }
 }
 
 /// A complete switch node: fabric + one line card per port.

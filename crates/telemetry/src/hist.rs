@@ -110,23 +110,6 @@ impl HdrHist {
     pub fn as_histogram(&self) -> &Histogram {
         &self.inner
     }
-
-    /// One fixed-width report line in microseconds, the unit the R-F*
-    /// latency tables use: `n=… mean=… p50≤… p90≤… p99≤… p999≤… max=…`.
-    pub fn render_us(&self) -> String {
-        let us = |ps: u64| ps as f64 / 1e6;
-        let p = self.pcts();
-        format!(
-            "n={} mean={:.2} p50<={:.2} p90<={:.2} p99<={:.2} p999<={:.2} max={:.2}",
-            p.count,
-            p.mean / 1e6,
-            us(p.p50),
-            us(p.p90),
-            us(p.p99),
-            us(p.p999),
-            us(p.max)
-        )
-    }
 }
 
 impl fmt::Debug for HdrHist {
@@ -183,16 +166,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.pcts(), whole.pcts());
-    }
-
-    #[test]
-    fn render_us_mentions_every_band() {
-        let mut h = HdrHist::new();
-        h.record_duration(Duration::from_us(3));
-        let line = h.render_us();
-        for needle in ["n=1", "p50<=", "p90<=", "p99<=", "p999<=", "max="] {
-            assert!(line.contains(needle), "missing {needle} in {line}");
-        }
     }
 
     #[test]

@@ -48,15 +48,13 @@ pub enum Component {
     RxPool,
     /// TURBOchannel bus on the receive adaptor.
     RxBus,
-    /// Host CPU (software SAR, driver).
-    HostCpu,
     /// Switch output stage (fabric drain into the line card).
     Switch,
 }
 
 impl Component {
     /// Number of components (array dimension).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every component, in canonical (pipeline) order. This order is the
     /// deterministic tie-break everywhere components are ranked or
@@ -71,7 +69,6 @@ impl Component {
         Component::RxEngine,
         Component::RxPool,
         Component::RxBus,
-        Component::HostCpu,
         Component::Switch,
     ];
 
@@ -88,7 +85,6 @@ impl Component {
             Component::RxEngine => "rx.engine",
             Component::RxPool => "rx.pool",
             Component::RxBus => "rx.bus",
-            Component::HostCpu => "host.cpu",
             Component::Switch => "switch",
         }
     }
@@ -104,10 +100,6 @@ pub enum Activity {
     Transfer,
     /// Bus overhead: burst setup and turnaround cycles.
     Arbitration,
-    /// Host CPU doing segmentation/reassembly work (incl. software CRC).
-    Sar,
-    /// Host CPU doing driver work (programmed I/O, device interaction).
-    Driver,
     /// Ready to work but waiting on an outstanding bus transfer.
     StalledBus,
     /// Ready to work but waiting on FIFO space.
@@ -118,15 +110,13 @@ pub enum Activity {
 
 impl Activity {
     /// Number of activities (array dimension).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 6;
 
     /// Every activity, in rendering order.
     pub const ALL: [Activity; Activity::COUNT] = [
         Activity::Busy,
         Activity::Transfer,
         Activity::Arbitration,
-        Activity::Sar,
-        Activity::Driver,
         Activity::StalledBus,
         Activity::StalledFifo,
         Activity::Idle,
@@ -138,8 +128,6 @@ impl Activity {
             Activity::Busy => "busy",
             Activity::Transfer => "transfer",
             Activity::Arbitration => "arbitration",
-            Activity::Sar => "sar",
-            Activity::Driver => "driver",
             Activity::StalledBus => "stalled.bus",
             Activity::StalledFifo => "stalled.fifo",
             Activity::Idle => "idle",
@@ -152,11 +140,7 @@ impl Activity {
     pub const fn is_active(self) -> bool {
         matches!(
             self,
-            Activity::Busy
-                | Activity::Transfer
-                | Activity::Arbitration
-                | Activity::Sar
-                | Activity::Driver
+            Activity::Busy | Activity::Transfer | Activity::Arbitration
         )
     }
 }
@@ -286,11 +270,6 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// The snapshot instant — the utilization denominator.
-    pub fn end(&self) -> Time {
-        self.end
-    }
-
     /// The run span (simulation start to `end`).
     pub fn span(&self) -> Duration {
         self.end.saturating_since(Time::ZERO)
@@ -335,17 +314,6 @@ impl Profile {
     /// The busiest window of a component: `(window index, utilization)`.
     pub fn high_watermark(&self, component: Component) -> Option<(usize, f64)> {
         self.series(component).high_watermark()
-    }
-
-    /// Components that were charged any time or gauged above zero, in
-    /// canonical order.
-    pub fn charged_components(&self) -> impl Iterator<Item = Component> + '_ {
-        Component::ALL.into_iter().filter(|&c| {
-            self.gauge(c).peak > 0
-                || Activity::ALL
-                    .iter()
-                    .any(|&a| self.total(c, a) > Duration::ZERO)
-        })
     }
 
     /// Folded-stacks rendering (flamegraph collapse format): one line
@@ -398,13 +366,7 @@ mod tests {
             .collect();
         assert_eq!(
             active,
-            vec![
-                Activity::Busy,
-                Activity::Transfer,
-                Activity::Arbitration,
-                Activity::Sar,
-                Activity::Driver
-            ]
+            vec![Activity::Busy, Activity::Transfer, Activity::Arbitration]
         );
         assert!(!Activity::StalledBus.is_active());
         assert!(!Activity::StalledFifo.is_active());
@@ -533,15 +495,12 @@ mod tests {
             folded,
             "tx.engine;busy 1500\ntx.engine;stalled.fifo 1000\nrx.engine;busy 3000\n"
         );
-        let charged: Vec<Component> = prof.charged_components().collect();
-        assert_eq!(charged, vec![Component::TxEngine, Component::RxEngine]);
     }
 
     #[test]
     fn empty_profile_renders_empty() {
         let prof = CycleProfiler::new().snapshot(Time::ZERO);
         assert_eq!(prof.folded_stacks(), "");
-        assert_eq!(prof.charged_components().count(), 0);
         assert_eq!(prof.utilization(Component::TxEngine), 0.0);
     }
 }

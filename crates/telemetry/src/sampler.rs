@@ -87,11 +87,6 @@ impl<T: Tracer> SamplingTracer<T> {
         self.kept
     }
 
-    /// The sampling rate denominator.
-    pub fn one_in(&self) -> u64 {
-        self.one_in
-    }
-
     /// Borrow the inner sink.
     pub fn inner(&self) -> &T {
         &self.inner

@@ -28,11 +28,6 @@ impl TimeSeries {
         }
     }
 
-    /// The window width.
-    pub fn window(&self) -> Duration {
-        self.window
-    }
-
     /// Charge `dur` of busy time starting at `from`, splitting across
     /// window boundaries.
     pub fn charge(&mut self, from: Time, dur: Duration) {

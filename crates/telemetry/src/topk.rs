@@ -87,11 +87,6 @@ impl VcShards {
         self.bytes.iter().sum()
     }
 
-    /// Per-shard cell counts (skew picture).
-    pub fn cells(&self) -> &[u64; VC_SHARDS] {
-        &self.cells
-    }
-
     /// Largest single-shard cell count.
     pub fn max_shard_cells(&self) -> u64 {
         self.cells.iter().copied().max().unwrap_or(0)
@@ -292,12 +287,6 @@ impl VcMetrics {
     pub fn record_cell(&mut self, vc: u32, bytes: u64) {
         self.shards.record(vc, bytes);
         self.top_cells.offer(vc, 1);
-    }
-
-    /// Fold another bundle in.
-    pub fn merge(&mut self, other: &VcMetrics) {
-        self.shards.merge(&other.shards);
-        self.top_cells.merge(&other.top_cells);
     }
 }
 

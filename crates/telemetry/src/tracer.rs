@@ -111,11 +111,6 @@ impl RingTracer {
         self.recorded
     }
 
-    /// Events dropped out the back of the ring.
-    pub fn overwritten(&self) -> u64 {
-        self.recorded - self.buf.len() as u64
-    }
-
     /// The retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
         if self.buf.len() < self.capacity {
@@ -174,7 +169,6 @@ mod tests {
             t.record(ev(i));
         }
         assert_eq!(t.recorded(), 10);
-        assert_eq!(t.overwritten(), 6);
         let kept: Vec<u32> = t.events().iter().map(|e| e.cell).collect();
         assert_eq!(kept, vec![6, 7, 8, 9]);
     }
@@ -184,7 +178,7 @@ mod tests {
         // Overfill a small ring several times over with a count that is
         // not a multiple of the capacity, checking the snapshot after
         // every record: bounded size, oldest→newest ordering with no
-        // gaps, and recorded/overwritten bookkeeping that always sums.
+        // gaps, and a recorded count that includes the dropped events.
         let cap = 5usize;
         let mut t = RingTracer::new(cap);
         for i in 0u64..23 {
@@ -195,16 +189,9 @@ mod tests {
             let expected: Vec<u64> = (first..=i).collect();
             assert_eq!(kept, expected, "snapshot out of order at i={i}");
             assert_eq!(t.recorded(), i + 1);
-            assert_eq!(t.overwritten(), first);
-            assert_eq!(
-                t.overwritten() + kept.len() as u64,
-                t.recorded(),
-                "kept + dropped must equal recorded at i={i}"
-            );
         }
         // 23 records through a 5-slot ring: 4 full wraps plus 3.
         assert_eq!(t.recorded(), 23);
-        assert_eq!(t.overwritten(), 18);
     }
 
     #[test]
@@ -215,6 +202,5 @@ mod tests {
         }
         let kept: Vec<u32> = t.events().iter().map(|e| e.cell).collect();
         assert_eq!(kept, vec![0, 1, 2]);
-        assert_eq!(t.overwritten(), 0);
     }
 }

@@ -139,11 +139,6 @@ impl RtoEstimator {
     pub fn backoff_exp(&self) -> u32 {
         self.backoff_exp
     }
-
-    /// The static policy in force.
-    pub fn config(&self) -> &RtoConfig {
-        &self.cfg
-    }
 }
 
 #[cfg(test)]

@@ -50,11 +50,6 @@ impl SendWindow {
         self.next
     }
 
-    /// Total frames in the transfer.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
     /// Has `seq` been acknowledged (cumulatively or selectively)?
     pub fn is_acked(&self, seq: usize) -> bool {
         self.acked[seq]

@@ -228,11 +228,17 @@ fn steady_state_e2e_zero_allocations_zero_slab_growth() {
                  reasm: &mut Aal5Reassembler,
                  link: &mut Link| {
         refs.clear();
-        aal5::segment_burst(vc, &sdus, 0, slab, refs);
+        for sdu in &sdus {
+            aal5::segment_into(vc, sdu, 0, slab, refs);
+        }
         deliveries.clear();
-        link.send_burst(Time::ZERO, 424, refs.len(), deliveries);
+        for _ in 0..refs.len() {
+            deliveries.push(link.send(Time::ZERO, 424));
+        }
         done.clear();
-        reasm.deliver_burst(refs, slab, Time::ZERO, done);
+        for &r in refs.iter() {
+            done.extend(reasm.push(slab.get(r), Time::ZERO));
+        }
         slab.free_all(refs);
         let mut delivered = 0;
         for r in done.drain(..) {
