@@ -52,6 +52,22 @@ END { for (i = 1; i <= nd; i++) if (seen[def[i]] == 1) {
 ' $(find crates/*/src examples benchmark/src -name '*.rs' | sort) \
   $(find tests benchmark/tests -name '*.rs' | sort) >&2
 
+echo "==> census: non-test lines and pub definitions (printed, not gated)"
+# The lean-code aim is measured in lines and public items. Each file
+# counts up to its first #[cfg(test)]: all lines under crates/*/src,
+# crates/*/benches and examples/, and the
+# `pub fn|struct|enum|trait|type|const|static|mod` lines under
+# crates/*/src.
+awk '
+FNR == 1 { cut = 0; src = FILENAME ~ /^crates\/[^\/]+\/src\// }
+/^#\[cfg\(test\)\]/ { cut = 1 }
+cut { next }
+{ lines++ }
+src && /^[ \t]*pub (fn|struct|enum|trait|type|const|static|mod) / { defs++ }
+END { printf "census: %d non-test lines, %d pub definitions\n", lines, defs }
+' $(find crates/*/src examples -name '*.rs' | sort) \
+  $(find crates -path 'crates/*/benches/*.rs' | sort)
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

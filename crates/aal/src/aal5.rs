@@ -148,7 +148,7 @@ struct VcState {
 ///
 /// Offer every user-data cell via [`Aal5Reassembler::push`]; call
 /// [`Aal5Reassembler::expire`] periodically to enforce the reassembly
-/// timeout. Statistics count completions and every failure class.
+/// timeout. Every completion and failure is reported to the caller.
 pub struct Aal5Reassembler {
     /// Per-VC frame state in the sharded open-addressing table, keyed
     /// on the packed 24-bit cam key — the same structure the CAM model
@@ -157,8 +157,6 @@ pub struct Aal5Reassembler {
     vcs: VcTable<VcState>,
     max_sdu: usize,
     timeout: Duration,
-    completed: u64,
-    failed: u64,
     /// Retired frame buffers kept warm for reuse: a steady-state stream
     /// of frames allocates nothing per frame once the pool has seen the
     /// working set. Completed SDUs leave with their buffer; callers on
@@ -174,8 +172,6 @@ impl Aal5Reassembler {
             vcs: VcTable::new(),
             max_sdu: max_sdu.min(MAX_SDU),
             timeout,
-            completed: 0,
-            failed: 0,
             spare: Vec::new(),
         }
     }
@@ -194,14 +190,6 @@ impl Aal5Reassembler {
         }
     }
 
-    /// Frames successfully delivered.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-    /// Frames abandoned (all causes).
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
     /// VCs with a frame currently in progress.
     pub fn in_progress(&self) -> usize {
         self.vcs.len()
@@ -237,7 +225,6 @@ impl Aal5Reassembler {
             let state = self.vcs.remove(key).expect("state just inserted");
             let discarded = state.buf.len();
             self.stash(state.buf);
-            self.failed += 1;
             return Some(Err(ReassemblyFailure {
                 vc,
                 mid: 0,
@@ -262,7 +249,6 @@ impl Aal5Reassembler {
 
         let computed = crc32(&pdu[..pdu.len() - 4]);
         if computed != stored_crc {
-            self.failed += 1;
             let discarded = pdu.len();
             self.stash(pdu);
             return Some(Err(ReassemblyFailure {
@@ -275,7 +261,6 @@ impl Aal5Reassembler {
         // Length must reconstruct the same number of cells: the pad is
         // 0..47, i.e. length + 8 must round up to exactly pdu.len().
         if length > self.max_sdu || cpcs_pdu_len(length) != pdu.len() {
-            self.failed += 1;
             let discarded = pdu.len();
             self.stash(pdu);
             return Some(Err(ReassemblyFailure {
@@ -286,7 +271,6 @@ impl Aal5Reassembler {
             }));
         }
 
-        self.completed += 1;
         // Truncate in place: the SDU leaves with the frame buffer (same
         // bytes as a copy, no allocation); `recycle` brings it back.
         pdu.truncate(length);
@@ -312,7 +296,6 @@ impl Aal5Reassembler {
             .into_iter()
             .map(|key| {
                 let s = self.vcs.remove(key).expect("key from iteration");
-                self.failed += 1;
                 let discarded = s.buf.len();
                 self.stash(s.buf);
                 ReassemblyFailure {
@@ -406,16 +389,15 @@ mod tests {
         let sdu: Vec<u8> = (0..500).map(|i| i as u8).collect();
         let cells = segment(vc(), &sdu, 0);
         let mut r = reasm();
-        let mut outcome = None;
+        let mut outcomes = Vec::new();
         for (i, c) in cells.iter().enumerate() {
             if i == 3 {
                 continue; // lose one cell
             }
-            if let Some(o) = r.push(c, Time::ZERO) {
-                outcome = Some(o);
-            }
+            outcomes.extend(r.push(c, Time::ZERO));
         }
-        let failure = outcome.unwrap().unwrap_err();
+        assert_eq!(outcomes.len(), 1, "exactly one outcome: the failure");
+        let failure = outcomes.pop().unwrap().unwrap_err();
         // A lost 48-octet chunk shifts everything: either CRC or length
         // catches it. (CRC virtually always.)
         assert!(
@@ -426,7 +408,6 @@ mod tests {
             "got {:?}",
             failure.error
         );
-        assert_eq!(r.failed(), 1);
     }
 
     #[test]
@@ -554,6 +535,7 @@ mod tests {
         let mut r = reasm();
         let mut refs = Vec::new();
         let mut out = Vec::new();
+        let mut completed = 0;
         for _ in 0..20 {
             refs.clear();
             segment_into(vc(), &sdu, 0, &mut slab, &mut refs);
@@ -562,11 +544,13 @@ mod tests {
             }
             slab.free_all(&refs);
             let got = out.pop().unwrap().unwrap();
+            assert!(out.is_empty());
             assert_eq!(got.data, sdu);
+            completed += 1;
             r.recycle(got.data);
         }
         // Slab warmed on the first frame, then constant.
         assert_eq!(slab.growth_events(), refs.len() as u64);
-        assert_eq!(r.completed(), 20);
+        assert_eq!(completed, 20);
     }
 }

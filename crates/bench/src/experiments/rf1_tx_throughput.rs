@@ -2,11 +2,10 @@
 //! analytic bounds, per partition, at both line rates.
 
 use crate::table::{fmt_bps, Table};
-use crate::Run;
 use hni_analysis::throughput::{predict_tx, predict_tx_with_bubble};
 use hni_atm::VcId;
 use hni_core::engine::HwPartition;
-use hni_core::txsim::{greedy_workload, run_tx, run_tx_full, TxConfig};
+use hni_core::txsim::{greedy_workload, run_tx, run_tx_full, TxConfig, TxReport};
 use hni_sonet::LineRate;
 use hni_telemetry::{Profiler, Tracer};
 
@@ -73,10 +72,10 @@ pub fn sweep_with_jobs(packets: usize, jobs: usize) -> Vec<Point> {
 
 /// The canonical steady-state run (paper split, OC-12, 20 × 9180-octet
 /// packets) with the caller's probes attached.
-pub fn canonical_run(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> Run {
+pub fn canonical_run(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> TxReport {
     let cfg = TxConfig::paper(LineRate::Oc12);
     let packets = greedy_workload(20, 9180, VcId::new(0, 32));
-    Run::Tx(run_tx_full(&cfg, &packets, tracer, profiler))
+    run_tx_full(&cfg, &packets, tracer, profiler)
 }
 
 /// Render the figure as a table.

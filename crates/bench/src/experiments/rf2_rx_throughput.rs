@@ -2,10 +2,9 @@
 //! plus the host-side interrupt-coalescing comparison.
 
 use crate::table::{fmt_bps, fmt_pct, Table};
-use crate::Run;
 use hni_aal::AalType;
 use hni_core::engine::HwPartition;
-use hni_core::rxsim::{run_rx, run_rx_full, RxConfig, RxWorkload};
+use hni_core::rxsim::{run_rx, run_rx_full, RxConfig, RxReport, RxWorkload};
 use hni_host::{DriverCosts, HostCpu, InterruptMode, RxHostModel};
 use hni_sim::{Duration, Time};
 use hni_sonet::LineRate;
@@ -59,10 +58,10 @@ pub fn sweep(pkts_per_vc: usize) -> Vec<Point> {
 
 /// The canonical run (paper split, OC-12 full line load, 4 VCs ×
 /// 9180-octet packets) with the caller's probes attached.
-pub fn canonical_run(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> Run {
+pub fn canonical_run(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> RxReport {
     let cfg = RxConfig::paper(LineRate::Oc12);
     let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 5, 9180, 1.0);
-    Run::Rx(run_rx_full(&cfg, &wl, tracer, profiler))
+    run_rx_full(&cfg, &wl, tracer, profiler)
 }
 
 /// Host-side comparison: CPU utilization delivering 9180-octet packets

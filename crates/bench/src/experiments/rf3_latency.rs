@@ -7,7 +7,7 @@ use hni_aal::AalType;
 use hni_analysis::latency::unloaded_latency;
 use hni_atm::VcId;
 use hni_core::bus::BusConfig;
-use hni_core::e2esim::{run_e2e, run_e2e_full};
+use hni_core::e2esim::{run_e2e, run_e2e_full, E2eReport};
 use hni_core::engine::HwPartition;
 use hni_core::rxsim::RxConfig;
 use hni_core::txsim::{greedy_workload, run_tx, TxConfig};
@@ -42,15 +42,15 @@ pub fn trace_run(len: usize) -> Vec<TraceEvent> {
 /// the caller's probes attached. Unlike the single-packet trace, a
 /// steady-state backlog gives every path resource a meaningful
 /// utilization to rank and the tail attributor a tail to explain.
-pub fn canonical_run(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> Run {
-    Run::E2e(run_e2e_full(
+pub fn canonical_run(tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> E2eReport {
+    run_e2e_full(
         &TxConfig::paper(LineRate::Oc12),
         &RxConfig::paper(LineRate::Oc12),
         &greedy_workload(20, TRACE_LEN, VcId::new(0, 32)),
         PROPAGATION,
         tracer,
         profiler,
-    ))
+    )
 }
 
 /// Render the breakdown table.
@@ -108,14 +108,14 @@ pub fn run() -> String {
             us(b.rx_delivery_dma),
             us(b.rx_complete),
             us(b.total),
-            format!("{:.2}", sim.packet_latency_us.mean()),
-            format!("{:.2}", e2e.latency_us.mean()),
+            format!("{:.2}", sim.latency_hist.mean() / 1e6),
+            format!("{:.2}", e2e.latency_hist.mean() / 1e6),
         ]);
     }
     // Percentile waterfall of the loaded canonical run: the unloaded
     // table above shows means; under a 20-packet backlog the tail is
     // the story, and the always-on histograms have it for free.
-    let loaded = canonical_run(&mut NullTracer, &mut NullProfiler);
+    let loaded = Run::E2e(canonical_run(&mut NullTracer, &mut NullProfiler));
     let w = crate::pct_table("loaded latency", &loaded.plane().latency);
     format!(
         "R-F3 — Unloaded end-to-end latency breakdown (µs), OC-12, paper split\n\
@@ -151,7 +151,7 @@ mod tests {
                 &greedy_workload(1, len, VcId::new(0, 32)),
                 PROPAGATION,
             );
-            let measured = e2e.latency_us.mean();
+            let measured = e2e.latency_hist.mean() / 1e6;
             let analytic = b.total.as_us_f64();
             let rel = (measured - analytic).abs() / analytic;
             assert!(
@@ -214,7 +214,7 @@ mod tests {
                 (b.tx_setup + b.tx_first_burst + b.tx_first_cell + b.serialization).as_us_f64();
             let cfg = TxConfig::paper(LineRate::Oc12);
             let sim = run_tx(&cfg, &greedy_workload(1, len, VcId::new(0, 32)));
-            let measured = sim.packet_latency_us.mean();
+            let measured = sim.latency_hist.mean() / 1e6;
             let rel = (measured - analytic_tx).abs() / analytic_tx;
             assert!(
                 rel < 0.30,

@@ -57,8 +57,9 @@ pub fn workload() -> Vec<TxPacket> {
 pub fn measure(pacing: bool) -> Point {
     let mut cfg = TxConfig::paper(LineRate::Oc12);
     cfg.pacing = pacing;
-    let r = run_tx(&cfg, &workload());
-    let s = &r.interdeparture_us[&cbr_vc()];
+    let packets = workload();
+    let r = run_tx(&cfg, &packets);
+    let s = r.interdeparture_us(&packets, cbr_vc());
     Point {
         pacing,
         mean_us: s.mean(),

@@ -1,15 +1,14 @@
 //! # hni-bench — the evaluation harness
 //!
 //! One module per reconstructed experiment (see DESIGN.md §4 for the
-//! index). Each `run()` returns a rendered text table/figure **and** the
-//! underlying numbers, so the `report` binary prints them and the
-//! Criterion benches time reduced versions of the same code paths.
+//! index). Each `run()` returns a rendered text table/figure, which the
+//! `report` binary prints and perfbench's `sim-report` times.
 //!
 //! [`EXPERIMENTS`] is the one table of experiments. An experiment that
 //! drives a pipeline declares its canonical run there once: a
-//! `run_x_full` call over a fixed config, workload and seed, returning
-//! a [`Run`]. Every `report` capability is derived from that
-//! declaration and the kind of run it returns ([`Run::renderings`]).
+//! `run_x_full` call over a fixed config, workload and seed, typed by
+//! the pipeline it drives ([`Canonical`]). Every `report` capability is
+//! derived from that declaration's kind, without running it.
 //!
 //! ```text
 //! cargo run -p hni-bench --bin report --release            # all experiments
@@ -25,16 +24,52 @@ pub use table::Table;
 
 use experiments::*;
 use hni_core::{CellLedger, E2eReport, RxReport, TxReport};
-use hni_sim::Time;
+use hni_sim::{Histogram, Time};
 use hni_telemetry::{
-    CycleProfiler, HdrHist, NullProfiler, NullTracer, Profile, Profiler, TailReservoir, TraceEvent,
-    Tracer, VcMetrics, VecTracer,
+    CycleProfiler, NullProfiler, NullTracer, Profile, Profiler, TailReservoir, TraceEvent, Tracer,
+    VcMetrics, VecTracer,
 };
 use hni_transport::TransportReport;
 
+/// A pipeline run with the caller's probes attached, returning `R`.
+type Probed<R> = fn(&mut dyn Tracer, &mut dyn Profiler) -> R;
+
 /// A canonical run declaration: one `run_x_full` call over a fixed
-/// config, workload and seed, with the caller's probes attached.
-pub type Canonical = fn(&mut dyn Tracer, &mut dyn Profiler) -> Run;
+/// config, workload and seed, typed by the pipeline it drives.
+#[derive(Clone, Copy)]
+pub enum Canonical {
+    /// The transmit pipeline (`run_tx_full`).
+    Tx(Probed<TxReport>),
+    /// The receive pipeline (`run_rx_full`).
+    Rx(Probed<RxReport>),
+    /// Both halves composed over a fibre (`run_e2e_full`).
+    E2e(Probed<E2eReport>),
+    /// The closed-loop transport (`run_transport_full`).
+    Transport(Probed<TransportReport>),
+}
+
+impl Canonical {
+    /// The renderings `report` offers for this kind of run, in `report
+    /// list` order. The tail attributor needs descriptor → completion
+    /// lives, which only a trace through both pipeline halves holds, so
+    /// `tail` and `exemplars` are for end-to-end runs alone.
+    fn renderings(self) -> &'static [Rendering] {
+        match self {
+            Canonical::E2e(_) => &RENDERINGS,
+            _ => &RENDERINGS[..RENDERINGS.len() - 2],
+        }
+    }
+
+    /// Run the declaration with the given probes attached.
+    fn run(self, tracer: &mut dyn Tracer, profiler: &mut dyn Profiler) -> Run {
+        match self {
+            Canonical::Tx(run) => Run::Tx(run(tracer, profiler)),
+            Canonical::Rx(run) => Run::Rx(run(tracer, profiler)),
+            Canonical::E2e(run) => Run::E2e(run(tracer, profiler)),
+            Canonical::Transport(run) => Run::Transport(run(tracer, profiler)),
+        }
+    }
+}
 
 /// One experiment: its report id, the function that renders its
 /// tables, and — for an experiment that drives a pipeline — the title
@@ -84,19 +119,19 @@ pub const EXPERIMENTS: [Experiment; 20] = [
         "r-f1",
         rf1_tx_throughput::run,
         "R-F1 canonical transmit run (descriptor -> last cell on line)",
-        rf1_tx_throughput::canonical_run,
+        Canonical::Tx(rf1_tx_throughput::canonical_run),
     ),
     Experiment::declared(
         "r-f2",
         rf2_rx_throughput::run,
         "R-F2 canonical receive run (first cell -> completion)",
-        rf2_rx_throughput::canonical_run,
+        Canonical::Rx(rf2_rx_throughput::canonical_run),
     ),
     Experiment::declared(
         "r-f3",
         rf3_latency::run,
         "R-F3 canonical loaded end-to-end run (descriptor at A -> completion at B)",
-        rf3_latency::canonical_run,
+        Canonical::E2e(rf3_latency::canonical_run),
     ),
     Experiment::report("r-f4", rf4_host_cpu::run),
     Experiment::report("r-f5", rf5_loss::run),
@@ -113,7 +148,7 @@ pub const EXPERIMENTS: [Experiment; 20] = [
         rw1_transport::run,
         "R-W1 canonical closed-loop run (satellite path, 1% loss; \
          first transmission -> unique delivery)",
-        rw1_transport::canonical_run,
+        Canonical::Transport(rw1_transport::canonical_run),
     ),
     Experiment::report("r-s1", rs1_scale::run),
 ];
@@ -134,7 +169,7 @@ pub const EXPERIMENT_IDS: [&str; 20] = {
 // Variant sizes differ (an end-to-end report holds both halves), but a
 // report command builds one run and reads it in place.
 #[allow(clippy::large_enum_variant)]
-pub enum Run {
+enum Run {
     /// The transmit pipeline (`run_tx_full`).
     Tx(TxReport),
     /// The receive pipeline (`run_rx_full`).
@@ -146,19 +181,8 @@ pub enum Run {
 }
 
 impl Run {
-    /// The renderings `report` offers for this run, in `report list`
-    /// order. The tail attributor needs descriptor → completion lives,
-    /// which only a trace through both pipeline halves holds, so `tail`
-    /// and `exemplars` are for end-to-end runs alone.
-    pub fn renderings(&self) -> &'static [Rendering] {
-        match self {
-            Run::E2e(_) => &RENDERINGS,
-            _ => &RENDERINGS[..RENDERINGS.len() - 2],
-        }
-    }
-
     /// The run's always-on telemetry plane.
-    pub fn plane(&self) -> Plane<'_> {
+    fn plane(&self) -> Plane<'_> {
         match self {
             Run::Tx(r) => Plane {
                 latency: vec![("tx", &r.latency_hist)],
@@ -202,29 +226,29 @@ impl Run {
 
 /// The always-on telemetry plane of one run: what every pipeline report
 /// carries whether or not probes were attached.
-pub struct Plane<'a> {
+struct Plane<'a> {
     /// Latency series as `(stage, histogram)` pairs, the headline last.
-    pub latency: Vec<(&'static str, &'a HdrHist)>,
+    latency: Vec<(&'static str, &'a Histogram)>,
     /// Per-VC cell volume. An end-to-end run reports its receive side,
     /// which saw every surviving cell.
-    pub vc: &'a VcMetrics,
+    vc: &'a VcMetrics,
     /// Tail exemplars over the headline latency series.
-    pub tail: &'a TailReservoir,
+    tail: &'a TailReservoir,
     /// Where every injected cell went. The transmit pipeline keeps no
     /// ledger: nothing is lost before the line.
-    pub ledger: Option<&'a CellLedger>,
+    ledger: Option<&'a CellLedger>,
     /// End of simulated activity: the span a profile is snapshotted over.
-    pub end: Time,
+    end: Time,
     /// Goodput, bits/s.
-    pub goodput_bps: f64,
+    goodput_bps: f64,
 }
 
 /// One rendering of a canonical run: the `report` subcommand and the
 /// function that prints it for an id (`None` when the id lacks it).
 pub type Rendering = (&'static str, fn(&str) -> Option<String>);
 
-/// Every rendering, in `report list` order; [`Run::renderings`] says
-/// which a run offers.
+/// Every rendering, in `report list` order; `Canonical::renderings`
+/// says which a kind of run offers.
 pub const RENDERINGS: [Rendering; 9] = [
     ("trace", |id| {
         Some(hni_telemetry::jsonl::to_jsonl(&trace_experiment(id)?))
@@ -258,7 +282,7 @@ fn experiment(id: &str) -> Option<Experiment> {
 }
 
 /// Run `id`'s canonical declaration with the given probes attached, if
-/// it has one and the run offers `rendering`. Returns the run's title
+/// it has one and its kind offers `rendering`. Returns the run's title
 /// with the run.
 fn canonical(
     id: &str,
@@ -267,19 +291,19 @@ fn canonical(
     profiler: &mut dyn Profiler,
 ) -> Option<(&'static str, Run)> {
     let (title, declared) = experiment(id)?.canonical?;
-    let run = declared(tracer, profiler);
-    let offered = run.renderings().iter().any(|(name, _)| *name == rendering);
-    offered.then_some((title, run))
+    let offered = declared
+        .renderings()
+        .iter()
+        .any(|(name, _)| *name == rendering);
+    offered.then(|| (title, declared.run(tracer, profiler)))
 }
 
-/// The renderings `id` offers, derived from its declaration: none
-/// without a canonical run. `report diff` and `report promlint` accept
-/// exactly the ids this is non-empty for.
+/// The renderings `id` offers, looked up from its declaration's kind:
+/// none without a canonical run. `report diff` and `report promlint`
+/// accept exactly the ids this is non-empty for.
 pub fn renderings(id: &str) -> Vec<&'static str> {
     let declared = experiment(id).and_then(|e| e.canonical);
-    let offered = declared.map_or(&[][..], |(_, run)| {
-        run(&mut NullTracer, &mut NullProfiler).renderings()
-    });
+    let offered = declared.map_or(&[][..], |(_, run)| run.renderings());
     offered.iter().map(|(name, _)| *name).collect()
 }
 
@@ -324,7 +348,7 @@ pub fn prom_report(id: &str) -> Option<String> {
 
 /// The percentile bands of each `(stage, histogram)` series as table
 /// rows (µs), under a first column headed `what`.
-pub(crate) fn pct_table(what: &str, series: &[(&str, &HdrHist)]) -> Table {
+pub(crate) fn pct_table(what: &str, series: &[(&str, &Histogram)]) -> Table {
     let mut t = Table::new([
         what, "n", "mean us", "p50<=", "p90<=", "p99<=", "p999<=", "max us",
     ]);
@@ -355,10 +379,10 @@ pub fn hist_report(id: &str) -> Option<String> {
     let t = pct_table("latency", &series);
     let mut prom = String::new();
     let label_sets: Vec<[(&str, &str); 1]> = series.iter().map(|(s, _)| [("stage", *s)]).collect();
-    let fam: Vec<(&[(&str, &str)], &hni_sim::Histogram)> = series
+    let fam: Vec<(&[(&str, &str)], &Histogram)> = series
         .iter()
         .zip(&label_sets)
-        .map(|((_, h), ls)| (&ls[..], h.as_histogram()))
+        .map(|((_, h), ls)| (&ls[..], *h))
         .collect();
     hni_telemetry::expfmt::expose_histogram_family(
         &mut prom,
@@ -597,7 +621,7 @@ pub fn expositions(id: &str) -> Option<Vec<(&'static str, String)>> {
 /// `HNI_JOBS` worker counts.
 pub fn sampled_trace_experiment(id: &str, one_in: u64, seed: u64) -> Option<Vec<TraceEvent>> {
     let events = trace_experiment(id)?;
-    let sampler = hni_telemetry::SamplingTracer::new(NullTracer, one_in, seed);
+    let sampler = hni_telemetry::Sampler::new(one_in, seed);
     Some(
         events
             .into_iter()

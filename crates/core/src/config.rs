@@ -63,22 +63,6 @@ impl NicConfig {
         }
     }
 
-    /// Ablation: no hardware assists.
-    pub fn all_software(rate: LineRate) -> Self {
-        NicConfig {
-            partition: HwPartition::all_software(),
-            ..Self::paper(rate)
-        }
-    }
-
-    /// Ablation: full per-cell hardware.
-    pub fn full_hardware(rate: LineRate) -> Self {
-        NicConfig {
-            partition: HwPartition::full_hardware(),
-            ..Self::paper(rate)
-        }
-    }
-
     /// Derive the transmit-simulation view of this configuration.
     pub fn tx_config(&self) -> TxConfig {
         TxConfig {
@@ -114,17 +98,6 @@ impl NicConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn presets_differ_only_in_partition() {
-        let p = NicConfig::paper(LineRate::Oc12);
-        let s = NicConfig::all_software(LineRate::Oc12);
-        let h = NicConfig::full_hardware(LineRate::Oc12);
-        assert_eq!(p.mips, s.mips);
-        assert_eq!(p.cam_capacity, h.cam_capacity);
-        assert_ne!(p.partition, s.partition);
-        assert_ne!(p.partition, h.partition);
-    }
 
     #[test]
     fn derived_views_carry_fields() {

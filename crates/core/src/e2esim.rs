@@ -16,8 +16,8 @@
 use crate::rxsim::{run_rx_full, CellArrival, RxConfig, RxPktMeta, RxWorkload};
 use crate::txsim::{run_tx_full, CellDeparture, TxConfig, TxPacket};
 use hni_aal::AalType;
-use hni_sim::{Duration, Summary, Time};
-use hni_telemetry::{HdrHist, NullProfiler, NullTracer, Profiler, TailReservoir, Tracer};
+use hni_sim::{Duration, Histogram, Time};
+use hni_telemetry::{NullProfiler, NullTracer, Profiler, TailReservoir, Tracer};
 
 /// End-to-end results.
 #[derive(Clone, Debug)]
@@ -26,11 +26,9 @@ pub struct E2eReport {
     pub offered: u64,
     /// Packets delivered into host B memory.
     pub delivered: u64,
-    /// Descriptor-at-A → completion-at-B latency, µs.
-    pub latency_us: Summary,
-    /// End-to-end latency distribution (ps): always-on log₂ histogram
-    /// with p50/p90/p99/p999 bands and exact max.
-    pub latency_hist: HdrHist,
+    /// Descriptor-at-A → completion-at-B latency, ps: exact count, mean,
+    /// min and max, plus the always-on log₂ p50/p90/p99/p999 bands.
+    pub latency_hist: Histogram,
     /// Tail exemplars for the end-to-end latency: slowest packets'
     /// identities plus a deterministic identity sample. Joins back to
     /// traces/waterfalls via the packet id (always on, fixed capacity).
@@ -176,14 +174,12 @@ fn assemble_report(
     tx_report: crate::txsim::TxReport,
     rx_report: crate::rxsim::RxReport,
 ) -> E2eReport {
-    let mut latency = Summary::new();
-    let mut latency_hist = HdrHist::new();
+    let mut latency_hist = Histogram::new();
     let mut tail = TailReservoir::paper();
     let mut delivered_octets = 0u64;
     for (i, done) in rx_report.completions.iter().enumerate() {
         if let Some(t) = done {
             let lat = t.saturating_since(packets[i].arrival);
-            latency.record_us(lat);
             latency_hist.record_duration(lat);
             tail.record(packets[i].vc.cam_key(), i as u32, lat, *t);
             delivered_octets += packets[i].len as u64;
@@ -194,7 +190,6 @@ fn assemble_report(
     E2eReport {
         offered: packets.len() as u64,
         delivered: rx_report.delivered_packets,
-        latency_us: latency,
         latency_hist,
         tail,
         goodput_bps: if elapsed > 0.0 {
@@ -237,7 +232,7 @@ mod tests {
         );
         assert_eq!(r.delivered, 10);
         assert_eq!(r.rx.failed_packets, 0);
-        assert!(r.latency_us.count() == 10);
+        assert!(r.latency_hist.count() == 10);
     }
 
     #[test]
@@ -251,7 +246,7 @@ mod tests {
             prop,
         );
         let analytic = hni_analysis_total_us(9180, prop);
-        let measured = r.latency_us.mean();
+        let measured = r.latency_hist.mean() / 1e6;
         let rel = (measured - analytic).abs() / analytic;
         assert!(
             rel < 0.15,
@@ -297,7 +292,7 @@ mod tests {
             &greedy_workload(1, 4096, VcId::new(0, 32)),
             Duration::from_ms(5),
         );
-        let delta = far.latency_us.mean() - near.latency_us.mean();
+        let delta = far.latency_hist.mean() / 1e6 - near.latency_hist.mean() / 1e6;
         assert!((delta - 4995.0).abs() < 1.0, "delta {delta}");
     }
 
@@ -319,13 +314,13 @@ mod tests {
         // Queueing: the mean latency of a deep backlog is far above one
         // packet's pipeline latency (packets wait for the link).
         assert!(
-            loaded.latency_us.mean() > 3.0 * unloaded.latency_us.mean(),
+            loaded.latency_hist.mean() > 3.0 * unloaded.latency_hist.mean(),
             "loaded {} vs unloaded {}",
-            loaded.latency_us.mean(),
-            unloaded.latency_us.mean()
+            loaded.latency_hist.mean(),
+            unloaded.latency_hist.mean()
         );
         // And the max is near the whole transfer duration.
-        assert!(loaded.latency_us.max() > 10.0 * unloaded.latency_us.mean());
+        assert!(loaded.latency_hist.max() as f64 > 10.0 * unloaded.latency_hist.mean());
     }
 
     #[test]

@@ -131,7 +131,6 @@ pub struct Nic {
     rx_cells: Vec<Cell>,
     // Counters.
     sdus_sent: u64,
-    cells_sent: u64,
     sdus_received: u64,
     unknown_vc_cells: u64,
     // Always-on per-VC receive accounting at bounded cardinality
@@ -156,7 +155,6 @@ impl Nic {
             tx_refs: Vec::new(),
             rx_cells: Vec::new(),
             sdus_sent: 0,
-            cells_sent: 0,
             sdus_received: 0,
             unknown_vc_cells: 0,
             rx_vc_metrics: VcMetrics::new(),
@@ -209,7 +207,6 @@ impl Nic {
         }
         for &r in &refs {
             self.tc_tx.push_cell(self.tx_slab.get(r));
-            self.cells_sent += 1;
         }
         self.tx_slab.free_all(&refs);
         self.tx_refs = refs;
@@ -233,7 +230,6 @@ impl Nic {
         }
         let cell = hni_atm::OamCell::loopback_request(tag).emit(vc);
         self.tc_tx.push_cell(&cell);
-        self.cells_sent += 1;
         Ok(())
     }
 
@@ -251,7 +247,6 @@ impl Nic {
         if oam.loopback_indication {
             let reply = oam.loopback_reply().emit(vc);
             self.tc_tx.push_cell(&reply);
-            self.cells_sent += 1;
         } else {
             self.events
                 .push_back(NicEvent::OamLoopbackReply { vc, tag: oam.tag });
@@ -264,14 +259,15 @@ impl Nic {
     /// receiver); normal traffic goes through [`Nic::send`].
     pub fn inject_cell(&mut self, cell: &Cell) {
         self.tc_tx.push_cell(cell);
-        self.cells_sent += 1;
     }
 
     /// [`Nic::inject_cell`] through a [`FaultInjector`]: the injector
     /// decides the cell's fate (loss, payload damage, duplication) and
     /// the survivors — damaged in place when the plan says so — enter
-    /// the transmit convergence queue. Returns the fate so callers can
-    /// reconcile what they offered against what went on the wire.
+    /// the transmit convergence queue. A duplicate is the cell as
+    /// offered: the fate's bit flips damage the first copy only. Returns
+    /// the fate so callers can reconcile what they offered against what
+    /// went on the wire.
     /// Reordering displacement is ignored at this granularity (the TC
     /// queue is strictly FIFO); use the timing simulations to study it.
     pub fn inject_cell_faulted(&mut self, cell: &Cell, inj: &mut FaultInjector) -> UnitFate {
@@ -389,16 +385,15 @@ impl Nic {
     }
 
     /// Enforce the reassembly timeout; call periodically with the clock.
-    /// Purges **both** reassemblers — a partial AAL3/4 frame must not
-    /// sit forever just because the interface is configured for AAL5
-    /// (and vice versa); idle per-VC state is a leak either way.
+    /// Scans only the configured AAL's reassembler: the receive path
+    /// feeds no other, so no other can hold a partial frame.
     pub fn expire(&mut self, now: Time) {
-        for f in self.reasm5.expire(now) {
-            self.events.push_back(NicEvent::ReceiveError(f));
-        }
-        for f in self.reasm34.expire(now) {
-            self.events.push_back(NicEvent::ReceiveError(f));
-        }
+        let expired = match self.cfg.aal {
+            AalType::Aal5 => self.reasm5.expire(now),
+            AalType::Aal34 => self.reasm34.expire(now),
+        };
+        self.events
+            .extend(expired.into_iter().map(NicEvent::ReceiveError));
     }
 
     /// Run [`Nic::expire`] if at least half the reassembly timeout has
@@ -431,10 +426,6 @@ impl Nic {
     /// SDUs accepted for transmission.
     pub fn sdus_sent(&self) -> u64 {
         self.sdus_sent
-    }
-    /// Cells queued to the line.
-    pub fn cells_sent(&self) -> u64 {
-        self.cells_sent
     }
     /// SDUs delivered to the host.
     pub fn sdus_received(&self) -> u64 {
@@ -667,7 +658,7 @@ mod tests {
         assert!(lost > 0, "5% loss over {offered} cells should hit");
         // Every offered cell is either dropped before the queue or
         // queued (twice, if duplicated) — nothing vanishes unaccounted.
-        assert_eq!(a.cells_sent(), offered - lost + dup);
+        assert_eq!(a.tc_transmitter().data_cells(), offered - lost + dup);
         let (mut ok, mut failed) = (0u64, 0u64);
         let mut evs = pump(&mut a, &mut b, 200);
         evs.extend(pump(&mut a, &mut b, 4));

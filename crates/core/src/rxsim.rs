@@ -52,11 +52,11 @@ use crate::bus::{Bus, BusConfig};
 use crate::engine::{HwPartition, ProtocolEngine, TaskKind};
 use crate::fate::{Arrival, CellLedger, Delivery, FrameFates};
 use hni_aal::AalType;
-use hni_sim::{BusFaultPlan, Duration, EventQueue, FaultInjector, FaultPlan, Summary, Time};
+use hni_sim::{BusFaultPlan, Duration, EventQueue, FaultInjector, FaultPlan, Histogram, Time};
 use hni_sonet::LineRate;
 use hni_telemetry::{
-    Activity, Component, HdrHist, NullProfiler, NullTracer, Profiler, Stage, TailReservoir,
-    TraceEvent, Tracer, VcMetrics,
+    Activity, Component, NullProfiler, NullTracer, Profiler, Stage, TailReservoir, TraceEvent,
+    Tracer, VcMetrics,
 };
 use std::collections::VecDeque;
 
@@ -236,8 +236,9 @@ pub struct LinkFaults {
 ///
 /// Semantics at the cell-schedule level: a lost cell's arrival vanishes;
 /// a corrupted cell arrives flagged (it fails end-of-frame validation);
-/// a duplicated cell arrives again one slot later (never as `is_last` —
-/// the copy inflates the frame's cell count, which validation catches);
+/// a duplicated cell arrives again one slot later, undamaged (never as
+/// `is_last` — the copy inflates the frame's cell count, which
+/// validation catches);
 /// a reordered cell is displaced `displaced` slots later. Displacement
 /// is detected only when it crosses the frame boundary — within a frame
 /// the reassembly chain absorbs it.
@@ -325,11 +326,10 @@ pub struct RxReport {
     pub pool_peak: u64,
     /// Mean reassembly buffers in use (time-weighted).
     pub pool_mean: f64,
-    /// Packet latency (first cell arrival → completion), µs.
-    pub packet_latency_us: Summary,
-    /// Packet latency distribution (ps): always-on log₂ histogram with
+    /// Packet latency (first cell arrival → completion), ps: exact
+    /// count, mean, min and max, plus the always-on log₂
     /// p50/p90/p99/p999 bands.
-    pub latency_hist: HdrHist,
+    pub latency_hist: Histogram,
     /// Tail exemplars: the slowest packets' identities plus a
     /// deterministic identity sample (always on, fixed capacity).
     pub tail: TailReservoir,
@@ -469,8 +469,7 @@ pub fn run_rx_full(
     let mut completions = vec![None; wl.pkts.len()];
     let mut delivered_packets = 0u64;
     let mut delivered_octets = 0u64;
-    let mut latency = Summary::new();
-    let mut latency_hist = HdrHist::new();
+    let mut latency_hist = Histogram::new();
     let mut tail = TailReservoir::paper();
     let mut vc_cells = VcMetrics::new();
     let mut finished_at = Time::ZERO;
@@ -706,7 +705,6 @@ pub fn run_rx_full(
                         completions[p] = Some(now);
                         if let Some(t0) = fate.first_activity(p) {
                             let lat = now.saturating_since(t0);
-                            latency.record_us(lat);
                             latency_hist.record_duration(lat);
                             tail.record(meta.conn as u32, p as u32, lat, now);
                         }
@@ -804,7 +802,6 @@ pub fn run_rx_full(
         fifo_peak,
         pool_peak: fate.pool().peak_in_use(),
         pool_mean: fate.pool().mean_in_use(end),
-        packet_latency_us: latency,
         latency_hist,
         tail,
         vc_cells,
@@ -1032,6 +1029,22 @@ mod tests {
     }
 
     #[test]
+    fn duplicates_add_no_damaged_arrivals() {
+        // Every cell is duplicated and a high BER damages about a third
+        // of them. The flips hit the first copy only, so the damaged
+        // arrivals are exactly the cells the link corrupted.
+        let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 4, 9180, 0.9);
+        let plan = FaultPlan::ber(1e-3).with_duplication(1.0);
+        let (faulted, lf) = apply_faults(&wl, &plan, LineRate::Oc12.cell_slot_time(), 7);
+        let offered = wl.arrivals.len() as u64;
+        assert_eq!(lf.duplicated, offered);
+        assert_eq!(faulted.arrivals.len() as u64, 2 * offered);
+        assert!(lf.corrupted > offered / 4, "{} of {offered}", lf.corrupted);
+        let damaged = faulted.arrivals.iter().filter(|a| a.corrupted).count();
+        assert_eq!(damaged as u64, lf.corrupted);
+    }
+
+    #[test]
     fn faultless_plan_is_byte_identical_and_draw_free() {
         let cfg = RxConfig::paper(LineRate::Oc12);
         let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 4, 10, 9180, 0.9);
@@ -1070,8 +1083,8 @@ mod tests {
         let r = run_rx(&cfg, &wl);
         // A 192-cell frame takes ≥ 191 arrival intervals ≈ 150 µs just to
         // arrive; latency must exceed that and stay well under 1 ms.
-        assert!(r.packet_latency_us.min() > 140.0);
-        assert!(r.packet_latency_us.max() < 1000.0);
+        assert!(r.latency_hist.min() > Duration::from_us(140).as_ps());
+        assert!(r.latency_hist.max() < Duration::from_us(1000).as_ps());
     }
 
     #[test]

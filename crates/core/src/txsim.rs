@@ -33,13 +33,12 @@ use crate::bus::{Bus, BusConfig};
 use crate::engine::{HwPartition, ProtocolEngine, TaskKind};
 use hni_aal::AalType;
 use hni_atm::{Gcra, VcId};
-use hni_sim::{Duration, EventQueue, Summary, Time};
+use hni_sim::{Duration, EventQueue, Histogram, Summary, Time};
 use hni_sonet::LineRate;
 use hni_telemetry::{
-    Activity, Component, HdrHist, NullProfiler, NullTracer, Profiler, Stage, TailReservoir,
-    TraceEvent, Tracer, VcMetrics,
+    Activity, Component, NullProfiler, NullTracer, Profiler, Stage, TailReservoir, TraceEvent,
+    Tracer, VcMetrics,
 };
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Transmit-pipeline configuration.
@@ -112,11 +111,10 @@ pub struct TxReport {
     pub bus_util: f64,
     /// Fraction of framer slots that carried a data cell.
     pub link_util: f64,
-    /// Packet latency (descriptor arrival → last cell on line), µs.
-    pub packet_latency_us: Summary,
-    /// Packet latency distribution (ps): always-on log₂ histogram with
-    /// p50/p90/p99/p999 bands — the tail the mean above hides.
-    pub latency_hist: HdrHist,
+    /// Packet latency (descriptor arrival → last cell on line), ps:
+    /// exact count, mean, min and max, plus the always-on log₂
+    /// p50/p90/p99/p999 bands — the tail a mean hides.
+    pub latency_hist: Histogram,
     /// Tail exemplars: identities of the slowest packets plus a
     /// deterministic identity sample — the histogram's tail, with
     /// names attached (always on, fixed capacity).
@@ -124,14 +122,30 @@ pub struct TxReport {
     /// Per-VC cell volume at bounded cardinality: exact sharded totals
     /// plus the space-saving heavy-hitter top-K (always on, O(K)).
     pub vc_cells: VcMetrics,
-    /// Per-VC inter-departure times of cells, µs (jitter analysis).
-    pub interdeparture_us: HashMap<VcId, Summary>,
     /// Peak output-FIFO occupancy.
     pub fifo_peak: u64,
     /// Every cell's departure from the framer, in line order — the
     /// arrival schedule the end-to-end composition ([`crate::e2esim`])
     /// feeds to the receive pipeline.
     pub departures: Vec<CellDeparture>,
+}
+
+impl TxReport {
+    /// Inter-departure times of `vc`'s cells, µs (jitter analysis),
+    /// derived from [`TxReport::departures`]; `packets` is the workload
+    /// the report ran, which names each departing cell's VC. Empty for a
+    /// VC with fewer than two departures.
+    pub fn interdeparture_us(&self, packets: &[TxPacket], vc: VcId) -> Summary {
+        let mut gaps = Summary::new();
+        let mut prev = None;
+        for d in self.departures.iter().filter(|d| packets[d.pkt].vc == vc) {
+            if let Some(p) = prev {
+                gaps.record_us(d.at.saturating_since(p));
+            }
+            prev = Some(d.at);
+        }
+        gaps
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -163,7 +177,6 @@ struct VcCtx {
     waiting: VecDeque<usize>,
     cur: Option<Pkt>,
     gcra: Option<Gcra>,
-    last_departure: Option<Time>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -249,11 +262,9 @@ pub fn run_tx_full(
     let mut cells_sent = 0u64;
     let mut payload_octets = 0u64;
     let mut finished_at = Time::ZERO;
-    let mut packet_latency = Summary::new();
-    let mut latency_hist = HdrHist::new();
+    let mut latency_hist = Histogram::new();
     let mut tail = TailReservoir::paper();
     let mut vc_cells = VcMetrics::new();
-    let mut interdeparture: HashMap<VcId, Summary> = HashMap::new();
     let mut slots_elapsed: u64 = 0;
     let mut departures = Vec::new();
 
@@ -360,7 +371,6 @@ pub fn run_tx_full(
                                 waiting: VecDeque::new(),
                                 cur: None,
                                 gcra: None,
-                                last_departure: None,
                             });
                             ctxs.len() - 1
                         })
@@ -552,19 +562,10 @@ pub fn run_tx_full(
                         is_last,
                     });
                     finished_at = now;
-                    let ctx = &mut ctxs[ci];
-                    if let Some(prev) = ctx.last_departure {
-                        interdeparture
-                            .entry(ctx.vc)
-                            .or_default()
-                            .record_us(now.saturating_since(prev));
-                    }
-                    ctx.last_departure = Some(now);
                     if is_last {
                         packets_sent += 1;
                         payload_octets += packets[pkt_idx].len as u64;
                         let lat = now.saturating_since(packets[pkt_idx].arrival);
-                        packet_latency.record_us(lat);
                         latency_hist.record_duration(lat);
                         tail.record(packets[pkt_idx].vc.cam_key(), pkt_idx as u32, lat, now);
                     }
@@ -634,11 +635,9 @@ pub fn run_tx_full(
         } else {
             0.0
         },
-        packet_latency_us: packet_latency,
         latency_hist,
         tail,
         vc_cells,
-        interdeparture_us: interdeparture,
         fifo_peak,
         departures,
     }
@@ -918,7 +917,7 @@ mod tests {
         }];
         let r = run_tx(&cfg, &pkts);
         assert_eq!(r.packets_sent, 1);
-        let jitter = &r.interdeparture_us[&vc()];
+        let jitter = r.interdeparture_us(&pkts, vc());
         assert!(
             (jitter.mean() - 100.0).abs() < 2.0,
             "mean inter-departure {} µs",
@@ -929,8 +928,9 @@ mod tests {
     #[test]
     fn unpaced_cells_go_back_to_back() {
         let cfg = TxConfig::paper(LineRate::Oc12);
-        let r = run_tx(&cfg, &greedy_workload(1, 4800, vc()));
-        let d = &r.interdeparture_us[&vc()];
+        let pkts = greedy_workload(1, 4800, vc());
+        let r = run_tx(&cfg, &pkts);
+        let d = r.interdeparture_us(&pkts, vc());
         // Back-to-back at OC-12 payload slots: ~0.708 µs.
         assert!(
             (d.mean() - 0.7078).abs() < 0.02,
@@ -961,7 +961,8 @@ mod tests {
         assert_eq!(r.cells_sent, 384);
         // With interleaving, each VC's cells are spaced about twice the
         // slot time on average.
-        for s in r.interdeparture_us.values() {
+        for vc in [VcId::new(0, 64), VcId::new(0, 65)] {
+            let s = r.interdeparture_us(&pkts, vc);
             assert!(s.mean() > 1.0, "interleaved spacing {}", s.mean());
         }
     }
@@ -993,7 +994,7 @@ mod tests {
         // finished_at reflects the slow VC.
         assert!(r.finished_at > Time::from_ms(90));
         // Fast VC inter-departures stay near slot rate (not pacer rate).
-        let f = &r.interdeparture_us[&fast];
+        let f = r.interdeparture_us(&pkts, fast);
         assert!(f.mean() < 2.0, "fast vc spacing {}", f.mean());
     }
 

@@ -166,17 +166,16 @@ proptest! {
             pcr: Some(pcr),
         }];
         let r = run_tx(&cfg, &packets);
-        if let Some(s) = r.interdeparture_us.get(&VcId::new(0, 40)) {
-            if s.count() > 0 {
-                let min_gap_us = 1e6 / pcr;
-                let slot_us = Duration::from_ps(707_799).as_us_f64();
-                prop_assert!(
-                    s.min() + slot_us + 0.01 >= min_gap_us,
-                    "min gap {} vs contract {}",
-                    s.min(),
-                    min_gap_us
-                );
-            }
+        let s = r.interdeparture_us(&packets, VcId::new(0, 40));
+        if s.count() > 0 {
+            let min_gap_us = 1e6 / pcr;
+            let slot_us = Duration::from_ps(707_799).as_us_f64();
+            prop_assert!(
+                s.min() + slot_us + 0.01 >= min_gap_us,
+                "min gap {} vs contract {}",
+                s.min(),
+                min_gap_us
+            );
         }
     }
 }
@@ -208,12 +207,12 @@ proptest! {
         let propagation = Duration::from_us(prop_us);
         let r = run_e2e(&txc, &rxc, &packets, propagation);
         prop_assert_eq!(r.delivered, packets.len() as u64);
-        prop_assert_eq!(r.latency_us.count(), packets.len() as u64);
+        prop_assert_eq!(r.latency_hist.count(), packets.len() as u64);
         prop_assert!(
-            r.latency_us.min() >= propagation.as_us_f64(),
-            "latency {} < propagation {}",
-            r.latency_us.min(),
-            propagation.as_us_f64()
+            r.latency_hist.min() >= propagation.as_ps(),
+            "latency {} ps < propagation {} ps",
+            r.latency_hist.min(),
+            propagation.as_ps()
         );
     }
 }

@@ -42,5 +42,5 @@ pub use faults::{
 };
 pub use link::{Link, LinkDelivery};
 pub use rng::{Rng, Zipf};
-pub use stats::{Histogram, OccupancyTracker, Summary, HIST_BUCKETS};
+pub use stats::{Histogram, OccupancyTracker, Pcts, Summary, HIST_BUCKETS};
 pub use time::{Duration, Time};

@@ -28,8 +28,9 @@ use crate::time::{Duration, Time};
 pub enum LinkDelivery {
     /// The unit arrives complete at `at`, with the listed bit positions
     /// (0 = first bit on the wire) inverted. An empty list is a clean
-    /// delivery. If the fault plan duplicated the unit, a second
-    /// identical copy arrives at `duplicate_at`.
+    /// delivery. If the fault plan duplicated the unit, a second copy
+    /// arrives at `duplicate_at`: the unit as sent, since the flips hit
+    /// the first copy only (see [`crate::UnitFate::duplicated`]).
     Delivered {
         at: Time,
         flipped_bits: Vec<u64>,

@@ -4,7 +4,8 @@
 //! never changes the asymptotics of a simulation. The collectors:
 //!
 //! * [`Summary`] — running min/max/mean/variance (Welford).
-//! * [`Histogram`] — log₂-bucketed latency histogram with quantile queries.
+//! * [`Histogram`] — log₂-bucketed latency histogram with quantile queries
+//!   and the [`Pcts`] percentile band every report prints.
 //! * [`OccupancyTracker`] — time-weighted queue-occupancy statistics
 //!   (mean and peak), the quantity FIFO-sizing decisions are made from.
 
@@ -109,18 +110,44 @@ impl Summary {
 /// Number of log₂ buckets in [`Histogram`]: values 0..2⁶³ are covered.
 pub const HIST_BUCKETS: usize = 64;
 
-/// Log₂-bucketed histogram of `u64` samples (typically picoseconds).
+/// The percentile band a histogram reports: bucket upper bounds for the
+/// quantiles, the exact maximum, and the exact count/mean.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Pcts {
+    /// Number of samples.
+    pub count: u64,
+    /// Exact arithmetic mean.
+    pub mean: f64,
+    /// Median upper bound.
+    pub p50: u64,
+    /// 90th-percentile upper bound.
+    pub p90: u64,
+    /// 99th-percentile upper bound.
+    pub p99: u64,
+    /// 99.9th-percentile upper bound.
+    pub p999: u64,
+    /// Exact largest sample.
+    pub max: u64,
+}
+
+/// Log₂-bucketed histogram of `u64` samples (typically picoseconds): the
+/// one latency record every pipeline report carries.
 ///
 /// Bucket `i` holds samples whose value `v` satisfies `⌊log₂ v⌋ == i`
 /// (bucket 0 additionally holds `v == 0`). Quantile queries return the
 /// upper bound of the bucket containing the requested rank, i.e. they are
 /// exact to within a factor of 2 — adequate for the order-of-magnitude
 /// latency-tail questions the experiments ask, at constant memory.
+/// Count, sum (hence mean), min and max are tracked exactly, outside the
+/// buckets. Recording is a shift, an index and a few adds, with no
+/// allocation, so it stays on at line rate; merging the shards of a
+/// parallel run is exact.
 #[derive(Clone)]
 pub struct Histogram {
     buckets: [u64; HIST_BUCKETS],
     count: u64,
     sum: u128,
+    min: u64,
     max: u64,
 }
 
@@ -137,6 +164,7 @@ impl Histogram {
             buckets: [0; HIST_BUCKETS],
             count: 0,
             sum: 0,
+            min: u64::MAX,
             max: 0,
         }
     }
@@ -156,9 +184,14 @@ impl Histogram {
         self.buckets[Self::bucket_of(v)] += 1;
         self.count += 1;
         self.sum += v as u128;
-        if v > self.max {
-            self.max = v;
-        }
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Record a duration, in picoseconds.
+    #[inline]
+    pub fn record_duration(&mut self, d: Duration) {
+        self.record(d.as_ps());
     }
 
     /// Number of samples.
@@ -172,6 +205,15 @@ impl Histogram {
             0.0
         } else {
             self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Smallest sample ever recorded, exactly (0 if empty).
+    pub fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
         }
     }
 
@@ -213,9 +255,8 @@ impl Histogram {
         }
         self.count += other.count;
         self.sum += other.sum;
-        if other.max > self.max {
-            self.max = other.max;
-        }
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Upper bound of the bucket containing the `q`-quantile sample
@@ -235,6 +276,22 @@ impl Histogram {
             }
         }
         u64::MAX
+    }
+
+    /// The standard percentile band: p50/p90/p99/p999 upper bounds plus
+    /// the exact count, mean and max — the tail profile the paper's
+    /// host-interface argument turns on, where a mean would hide every
+    /// queueing excursion.
+    pub fn pcts(&self) -> Pcts {
+        Pcts {
+            count: self.count,
+            mean: self.mean(),
+            p50: self.quantile(0.50),
+            p90: self.quantile(0.90),
+            p99: self.quantile(0.99),
+            p999: self.quantile(0.999),
+            max: self.max,
+        }
     }
 }
 
@@ -434,6 +491,69 @@ mod tests {
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(a.quantile(q), all.quantile(q), "q={q}");
         }
+    }
+
+    #[test]
+    fn percentile_band_orders_and_bounds() {
+        let mut h = Histogram::new();
+        for _ in 0..900 {
+            h.record(1_000); // ~µs-scale base latency
+        }
+        for _ in 0..90 {
+            h.record(10_000);
+        }
+        for _ in 0..9 {
+            h.record(100_000);
+        }
+        h.record(1_000_000);
+        let p = h.pcts();
+        assert_eq!(p.count, 1000);
+        assert!(p.p50 >= 1_000 && p.p50 < 2_000);
+        assert!(p.p90 >= 1_000, "p90={}", p.p90);
+        assert!(p.p99 >= 10_000 && p.p99 < 20_000, "p99={}", p.p99);
+        assert!(p.p999 >= 100_000 && p.p999 < 200_000, "p999={}", p.p999);
+        assert_eq!(p.max, 1_000_000, "max is exact, not a bucket bound");
+        assert_eq!(h.min(), 1_000, "min is exact, not a bucket bound");
+        assert!(p.p50 <= p.p90 && p.p90 <= p.p99 && p.p99 <= p.p999);
+        assert!(p.p999 as f64 <= p.max as f64 * 2.0);
+    }
+
+    #[test]
+    fn merge_equals_concatenation() {
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
+        let mut whole = Histogram::new();
+        for v in 0..500u64 {
+            a.record(v * 3);
+            whole.record(v * 3);
+        }
+        for v in 0..500u64 {
+            b.record(v * v);
+            whole.record(v * v);
+        }
+        a.merge(&b);
+        assert_eq!(a.pcts(), whole.pcts());
+        assert_eq!(a.min(), whole.min());
+        // Exact min: the merge keeps the smaller one, and an empty
+        // shard (whose min reads 0) leaves it alone.
+        let (mut hi, mut lo) = (Histogram::new(), Histogram::new());
+        hi.record(500);
+        lo.record(9);
+        hi.merge(&lo);
+        assert_eq!(hi.min(), 9, "merge keeps the smaller exact min");
+        hi.merge(&Histogram::new());
+        assert_eq!(hi.min(), 9, "an empty shard leaves min alone");
+    }
+
+    #[test]
+    fn empty_hist_is_quiet_zeroes() {
+        let h = Histogram::new();
+        let p = h.pcts();
+        assert_eq!(
+            (p.count, p.p50, p.p90, p.p99, p.p999, p.max, h.min()),
+            (0, 0, 0, 0, 0, 0, 0)
+        );
+        assert_eq!(p.mean, 0.0);
     }
 
     #[test]

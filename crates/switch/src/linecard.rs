@@ -9,9 +9,9 @@
 //! hop* at the frame level, label translation and all.
 
 use crate::fabric::{Switch, SwitchConfig};
-use hni_sim::Time;
+use hni_sim::{Histogram, Time};
 use hni_sonet::{LineRate, TcReceiver, TcTransmitter};
-use hni_telemetry::{Activity, Component, HdrHist, NullProfiler, Profiler};
+use hni_telemetry::{Activity, Component, NullProfiler, Profiler};
 
 /// One port's SONET termination.
 pub struct LineCard {
@@ -47,7 +47,7 @@ pub struct SwitchNode {
     rate: LineRate,
     // Always-on: per-tick output backlog (cells) across all ports —
     // the queue-depth distribution congestion work is judged by.
-    backlog_hist: HdrHist,
+    backlog_hist: Histogram,
 }
 
 impl SwitchNode {
@@ -58,7 +58,7 @@ impl SwitchNode {
             fabric: Switch::new(cfg),
             cards,
             rate,
-            backlog_hist: HdrHist::new(),
+            backlog_hist: Histogram::new(),
         }
     }
 
@@ -134,7 +134,7 @@ impl SwitchNode {
 
     /// Distribution of output backlogs sampled at every frame tick
     /// (all ports pooled): p50/p99 queue depth under load.
-    pub fn backlog_hist(&self) -> &HdrHist {
+    pub fn backlog_hist(&self) -> &Histogram {
         &self.backlog_hist
     }
 }

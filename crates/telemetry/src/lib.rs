@@ -14,9 +14,8 @@
 //!   [`NullTracer`] is a no-op whose `enabled()` gate lets every
 //!   instrumentation point vanish from the steady-state path: no
 //!   allocation, no buffering, bit-identical simulation results.
-//! * [`RingTracer`] / [`VecTracer`] — in-memory sinks: a bounded
-//!   preallocated ring for always-on flight recording, and a growing
-//!   buffer for full-run capture.
+//! * [`VecTracer`] — the in-memory sink: a growing buffer for full-run
+//!   capture.
 //! * [`jsonl`] — a line-per-event JSON export, the interchange format
 //!   `report trace <id>` emits.
 //! * [`waterfall`] — the reducer that rebuilds the R-F3 per-stage
@@ -39,15 +38,15 @@
 //! to its cell ledger, and `report metrics <id>` dumps them; a run's
 //! metrics are read from the report, not rebuilt from a trace:
 //!
-//! * [`HdrHist`] — fixed 64-bucket log₂ latency histograms with
-//!   p50/p90/p99/p999 bands and exact max, mergeable across workers.
+//! * [`hni_sim::Histogram`] — fixed 64-bucket log₂ latency histograms
+//!   with p50/p90/p99/p999 bands and exact min and max, mergeable across
+//!   workers.
 //! * [`topk`] — per-VC accounting at bounded cardinality: exact
 //!   sharded volume counters plus a space-saving top-K heavy-hitter
 //!   tracker, O(K) memory at million-VC scale.
-//! * [`SamplingTracer`] — deterministic 1-in-N sampled tracing whose
-//!   keep/drop decision is a pure function of cell identity, so
-//!   sampled traces are byte-identical across reruns and worker
-//!   counts.
+//! * [`Sampler`] — deterministic 1-in-N trace sampling whose keep/drop
+//!   decision is a pure function of cell identity, so sampled traces
+//!   are byte-identical across reruns and worker counts.
 //! * [`json`] — the workspace's single JSON string escaper, shared by
 //!   every hand-rolled JSON writer.
 //!
@@ -70,7 +69,6 @@
 pub mod attribution;
 pub mod event;
 pub mod expfmt;
-pub mod hist;
 pub mod json;
 pub mod jsonl;
 pub mod profiler;
@@ -85,17 +83,16 @@ pub mod waterfall;
 
 pub use attribution::{attribute, Attribution, ResourceShare};
 pub use event::{Phase, Stage, TraceEvent, NO_ID};
-pub use hist::{HdrHist, Pcts};
 pub use profiler::{
     Activity, Component, CycleProfiler, GaugeStats, NullProfiler, Profile, Profiler,
 };
 pub use reservoir::{Exemplar, TailReservoir};
-pub use sampler::SamplingTracer;
+pub use sampler::Sampler;
 pub use spans::{PacketLife, PacketSpans, SpanStage, STAGE_LABELS};
 pub use tailattr::{attribute_tail, StageShare, TailAttribution};
 pub use timeseries::TimeSeries;
 pub use topk::{TopEntry, TopK, VcMetrics, VcShards};
-pub use tracer::{NullTracer, RingTracer, Tracer, VecTracer};
+pub use tracer::{NullTracer, Tracer, VecTracer};
 pub use waterfall::{StageLatency, Waterfall};
 
 pub use hni_sim::{Duration, Time};

@@ -12,7 +12,7 @@
 //!
 //! Both sets are selected by a *total order* on `(latency, vc, pkt)`
 //! and the sample membership is a pure seeded hash of the packet
-//! identity (same splitmix64 mix as [`SamplingTracer`]) — so the
+//! identity (same splitmix64 mix as [`Sampler`]) — so the
 //! retained sets are byte-identical across reruns and across
 //! `HNI_JOBS` worker counts, exactly like the sampled trace.
 //!
@@ -22,7 +22,7 @@
 //! scans of two tiny arrays — cheap enough to leave on in every run,
 //! next to `latency_hist`.
 //!
-//! [`SamplingTracer`]: crate::sampler::SamplingTracer
+//! [`Sampler`]: crate::sampler::Sampler
 
 use crate::sampler::mix64;
 use hni_sim::{Duration, Time};
@@ -90,7 +90,7 @@ impl TailReservoir {
 
     /// Pure keep/drop decision for a packet identity under this
     /// reservoir's seed and rate — order- and worker-independent,
-    /// mirroring `SamplingTracer::keeps`.
+    /// mirroring `Sampler::keeps`.
     #[inline]
     pub fn keeps(&self, vc: u32, pkt: u32) -> bool {
         if self.one_in == 1 {
@@ -127,7 +127,7 @@ impl TailReservoir {
     }
 
     /// The sampled exemplars at or above `threshold_ps` (pass a p99
-    /// bound from `HdrHist::quantile`), slowest first. Allocates.
+    /// bound from `Histogram::quantile`), slowest first. Allocates.
     pub fn cohort(&self, threshold_ps: u64) -> Vec<Exemplar> {
         let mut v: Vec<Exemplar> = self
             .sampled

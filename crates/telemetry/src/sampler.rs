@@ -1,10 +1,10 @@
-//! Deterministic 1-in-N sampled tracing.
+//! Deterministic 1-in-N trace sampling.
 //!
 //! Full-fidelity tracing cannot stay on at line rate: 9180-byte SDUs at
 //! 622 Mb/s are ~1.6M cells/s, and every cell emits several events. The
-//! [`SamplingTracer`] keeps the trace format usable at that rate by
-//! keeping roughly one cell in N — but the keep/drop decision is a
-//! **pure function of the event's identity**, not of arrival order:
+//! [`Sampler`] keeps the trace format usable at that rate by keeping
+//! roughly one cell in N — but the keep/drop decision is a **pure
+//! function of the event's identity**, not of arrival order:
 //!
 //! ```text
 //! keep(vc, pkt, cell) = mix(seed ⊕ mix(vc‖pkt) ⊕ mix(cell)) % N == 0
@@ -17,13 +17,11 @@
 //! them. Events that carry no cell/packet identity (run-level instants)
 //! are always kept: they are rare and anchor the trace.
 //!
-//! The decision is also *per-packet coherent for whole-cell groups*
-//! only in the sense that a given (vc, pkt, cell) triple always resolves
-//! the same way — every stage a sampled cell passes through appears in
-//! the trace, so spans still pair up.
+//! A given (vc, pkt, cell) triple always resolves the same way, so every
+//! stage a sampled cell passes through appears in the trace and its
+//! spans still pair up.
 
-use crate::event::{TraceEvent, NO_ID};
-use crate::tracer::Tracer;
+use crate::event::NO_ID;
 
 /// Fixed 64-bit finalizer (splitmix64) — the same keyed mix everywhere,
 /// so sampling is reproducible across platforms and versions. Shared
@@ -37,27 +35,21 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A tracer adaptor that forwards ~1-in-N events to an inner sink,
-/// chosen by a seeded content hash of the event identity.
-#[derive(Clone, Debug)]
-pub struct SamplingTracer<T: Tracer> {
-    inner: T,
+/// The keep/drop predicate of deterministic 1-in-N trace sampling: a
+/// seeded content hash of the event identity.
+#[derive(Clone, Copy, Debug)]
+pub struct Sampler {
     seed: u64,
     one_in: u64,
-    seen: u64,
-    kept: u64,
 }
 
-impl<T: Tracer> SamplingTracer<T> {
-    /// Wrap `inner`, keeping one event identity in `one_in` (clamped to
-    /// ≥ 1; 1 keeps everything) under `seed`.
-    pub fn new(inner: T, one_in: u64, seed: u64) -> Self {
+impl Sampler {
+    /// Keep one event identity in `one_in` (clamped to ≥ 1; 1 keeps
+    /// everything) under `seed`.
+    pub fn new(one_in: u64, seed: u64) -> Self {
         Self {
-            inner,
             seed,
             one_in: one_in.max(1),
-            seen: 0,
-            kept: 0,
         }
     }
 
@@ -76,49 +68,12 @@ impl<T: Tracer> SamplingTracer<T> {
         let id = ((vc as u64) << 32 | pkt as u64) ^ mix64(cell as u64);
         mix64(self.seed ^ mix64(id)).is_multiple_of(self.one_in)
     }
-
-    /// Events offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Events forwarded to the inner sink.
-    pub fn kept(&self) -> u64 {
-        self.kept
-    }
-
-    /// Borrow the inner sink.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Consume the adaptor, returning the inner sink.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-}
-
-impl<T: Tracer> Tracer for SamplingTracer<T> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        self.seen += 1;
-        if self.keeps(ev.vc, ev.pkt, ev.cell) {
-            self.kept += 1;
-            self.inner.record(ev);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Stage;
-    use crate::tracer::VecTracer;
+    use crate::event::{Stage, TraceEvent};
     use hni_sim::Time;
 
     fn ev(vc: u32, pkt: u32, cell: u32) -> TraceEvent {
@@ -130,13 +85,11 @@ mod tests {
     }
 
     fn kept_cells(order: &[(u32, u32, u32)], one_in: u64, seed: u64) -> Vec<u32> {
-        let mut t = SamplingTracer::new(VecTracer::new(), one_in, seed);
-        for &(vc, pkt, cell) in order {
-            t.record(ev(vc, pkt, cell));
-        }
-        t.into_inner()
-            .into_events()
+        let sampler = Sampler::new(one_in, seed);
+        order
             .iter()
+            .map(|&(vc, pkt, cell)| ev(vc, pkt, cell))
+            .filter(|e| sampler.keeps(e.vc, e.pkt, e.cell))
             .map(|e| e.cell)
             .collect()
     }
@@ -190,20 +143,17 @@ mod tests {
 
     #[test]
     fn identityless_events_always_pass_and_counters_track() {
-        let mut t = SamplingTracer::new(VecTracer::new(), 1_000_000, 5);
-        t.record(TraceEvent::instant(Time::ZERO, Stage::TxSetup));
-        for c in 0..100 {
-            t.record(ev(1, 0, c));
-        }
-        assert_eq!(t.seen(), 101);
-        assert_eq!(t.kept(), t.inner().len() as u64);
-        assert!(t.kept() >= 1, "identityless instant must be kept");
-        assert_eq!(t.inner().events()[0].stage, Stage::TxSetup);
-    }
-
-    #[test]
-    fn null_inner_stays_disabled() {
-        let t = SamplingTracer::new(crate::tracer::NullTracer, 8, 0);
-        assert!(!t.enabled());
+        let sampler = Sampler::new(1_000_000, 5);
+        let offered: Vec<TraceEvent> =
+            std::iter::once(TraceEvent::instant(Time::ZERO, Stage::TxSetup))
+                .chain((0..100).map(|c| ev(1, 0, c)))
+                .collect();
+        let kept: Vec<&TraceEvent> = offered
+            .iter()
+            .filter(|e| sampler.keeps(e.vc, e.pkt, e.cell))
+            .collect();
+        assert_eq!(offered.len(), 101);
+        assert!(!kept.is_empty(), "identityless instant must be kept");
+        assert_eq!(kept[0].stage, Stage::TxSetup);
     }
 }

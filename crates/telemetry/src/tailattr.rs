@@ -16,7 +16,7 @@
 //! "p99 excess is 71% wait at rx cell" names the reassembler queue.
 //!
 //! Cohorts here are exact order statistics over retained totals — not
-//! `HdrHist` buckets, whose log2 quantization can misplace packets
+//! `Histogram` buckets, whose log2 quantization can misplace packets
 //! near a cohort edge by up to 2×. The histogram threshold is only
 //! used when carving cohorts out of the *reservoir* (see
 //! `TailReservoir::cohort`), where exact totals are gone.

@@ -48,11 +48,11 @@ use hni_aal::AalType;
 use hni_core::fate::{Arrival, Delivery, FrameFates};
 use hni_core::{CellLedger, DiscardPolicy, PoolConfig};
 use hni_faults::{DelayLine, DelayModel, FaultInjector, FaultPlan};
-use hni_sim::{Duration, EventQueue, Time};
+use hni_sim::{Duration, EventQueue, Histogram, Time};
 use hni_sonet::LineRate;
 use hni_telemetry::{
-    Activity, Component, HdrHist, NullProfiler, NullTracer, Profiler, Stage, TailReservoir,
-    TraceEvent, Tracer, VcMetrics,
+    Activity, Component, NullProfiler, NullTracer, Profiler, Stage, TailReservoir, TraceEvent,
+    Tracer, VcMetrics,
 };
 
 use crate::rto::{RtoConfig, RtoEstimator};
@@ -221,7 +221,7 @@ pub struct TransportReport {
     /// jitterless path).
     pub rng_draws: u64,
     /// Latency of unique deliveries, first transmission to delivery.
-    pub frame_latency: HdrHist,
+    pub frame_latency: Histogram,
     /// Always-on exemplar reservoir over the same latencies.
     pub tail: TailReservoir,
     /// Always-on per-VC cell accounting at the receive interface.
@@ -317,7 +317,7 @@ struct Sim {
     tick_pending: bool,
     last_event: Time,
     finished_at: Time,
-    frame_latency: HdrHist,
+    frame_latency: Histogram,
     tail: TailReservoir,
     vc_cells: VcMetrics,
 }
@@ -389,7 +389,7 @@ impl Sim {
             tick_pending: false,
             last_event: Time::ZERO,
             finished_at: Time::ZERO,
-            frame_latency: HdrHist::new(),
+            frame_latency: Histogram::new(),
             tail: TailReservoir::paper(),
             vc_cells: VcMetrics::new(),
         }

@@ -49,7 +49,7 @@ fn main() {
     println!(
         "alice queued {} SDUs as {} cells",
         alice.sdus_sent(),
-        alice.cells_sent()
+        alice.tc_transmitter().data_cells()
     );
 
     // Clock 125 µs frames across the link until everything arrives.

@@ -44,8 +44,9 @@ fn main() {
     for pacing in [false, true] {
         let mut cfg = TxConfig::paper(LineRate::Oc12);
         cfg.pacing = pacing;
-        let r = run_tx(&cfg, &workload(video));
-        let jitter = &r.interdeparture_us[&video];
+        let packets = workload(video);
+        let r = run_tx(&cfg, &packets);
+        let jitter = r.interdeparture_us(&packets, video);
         println!(
             "pacing {:>3}: video cell gaps mean {:7.2} µs, sd {:6.2} µs, max {:7.2} µs  \
              (packets sent: {}, link util {:.1}%)",
