@@ -30,6 +30,7 @@ overloaded         R-R1 shape test picks the overloaded rows with it
 rx_config          NicConfig -> rxsim config, for the Nic/rxsim differential oracle
 tx_config          NicConfig -> txsim config, for the same oracle
 send_oam_loopback  the OAM loopback responder DESIGN.md and README document
+queue_len          the switch property test checks per-port cell conservation through it
 '
 REACH_ALLOW=$reach_allow awk '
 BEGIN { n = split(ENVIRON["REACH_ALLOW"], a, "\n")
@@ -51,6 +52,29 @@ END { for (i = 1; i <= nd; i++) if (seen[def[i]] == 1) {
       exit bad }
 ' $(find crates/*/src examples benchmark/src -name '*.rs' | sort) \
   $(find tests benchmark/tests -name '*.rs' | sort) >&2
+
+echo "==> forks: one probed entry point per component"
+# A component takes its probes through its one entry point; a second
+# `pub fn` named *_traced, *_instrumented or *_profiled beside it is a
+# fork. The scan covers crates/*/src, each file up to its first
+# #[cfg(test)].
+# Allowlist: name, then why it stays.
+fork_allow='
+run_e2e_instrumented  perfbench sim.rs imports it; ROADMAP 4(b) deletes it
+run_e2e_profiled      perfbench sim.rs imports it; ROADMAP 4(b) deletes it
+'
+FORK_ALLOW=$fork_allow awk '
+BEGIN { n = split(ENVIRON["FORK_ALLOW"], a, "\n")
+        for (i = 1; i <= n; i++) if (split(a[i], w, " ")) allow[w[1]] = 1 }
+FNR == 1 { cut = 0 }
+/^#\[cfg\(test\)\]/ { cut = 1 }
+cut { next }
+match($0, /^[ \t]*pub ((const|unsafe|async) )*fn [A-Za-z_][A-Za-z0-9_]*_(traced|instrumented|profiled)[^A-Za-z0-9_]/) {
+    d = substr($0, RSTART, RLENGTH - 1); sub(/.* /, "", d); found[d] = 1
+    if (!(d in allow)) { print "forks: " FILENAME ": `" d "` is a probed fork; fold it into its plain entry point"; bad = 1 } }
+END { for (x in allow) if (!(x in found)) { print "forks: allowlisted `" x "` no longer exists; drop it from ci.sh"; bad = 1 }
+      exit bad }
+' $(find crates/*/src -name '*.rs' | sort) >&2
 
 echo "==> census: non-test lines and pub definitions (printed, not gated)"
 # The lean-code aim is measured in lines and public items. Each file

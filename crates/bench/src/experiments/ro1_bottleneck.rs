@@ -41,7 +41,6 @@ pub fn resource_name(c: Component) -> &'static str {
         Component::TxLink | Component::RxLink => "link",
         Component::TxFifo | Component::RxFifo => "fifo",
         Component::RxPool => "pool",
-        Component::Switch => "switch",
     }
 }
 

@@ -26,8 +26,8 @@ use experiments::*;
 use hni_core::{CellLedger, E2eReport, RxReport, TxReport};
 use hni_sim::{Histogram, Time};
 use hni_telemetry::{
-    CycleProfiler, NullProfiler, NullTracer, Profile, Profiler, TailReservoir, TraceEvent, Tracer,
-    VcMetrics, VecTracer,
+    CycleProfiler, NullProfiler, NullTracer, Profile, Profiler, TraceEvent, Tracer, VcMetrics,
+    VecTracer,
 };
 use hni_transport::TransportReport;
 
@@ -187,7 +187,6 @@ impl Run {
             Run::Tx(r) => Plane {
                 latency: vec![("tx", &r.latency_hist)],
                 vc: &r.vc_cells,
-                tail: &r.tail,
                 ledger: None,
                 end: r.finished_at,
                 goodput_bps: r.goodput_bps,
@@ -195,7 +194,6 @@ impl Run {
             Run::Rx(r) => Plane {
                 latency: vec![("rx", &r.latency_hist)],
                 vc: &r.vc_cells,
-                tail: &r.tail,
                 ledger: Some(&r.ledger),
                 end: r.run_end,
                 goodput_bps: r.goodput_bps,
@@ -207,7 +205,6 @@ impl Run {
                     ("e2e", &r.latency_hist),
                 ],
                 vc: &r.rx.vc_cells,
-                tail: &r.tail,
                 ledger: Some(&r.rx.ledger),
                 end: r.rx.run_end,
                 goodput_bps: r.goodput_bps,
@@ -215,7 +212,6 @@ impl Run {
             Run::Transport(r) => Plane {
                 latency: vec![("frame", &r.frame_latency)],
                 vc: &r.vc_cells,
-                tail: &r.tail,
                 ledger: Some(&r.ledger),
                 end: r.run_end,
                 goodput_bps: r.goodput_bps,
@@ -232,8 +228,6 @@ struct Plane<'a> {
     /// Per-VC cell volume. An end-to-end run reports its receive side,
     /// which saw every surviving cell.
     vc: &'a VcMetrics,
-    /// Tail exemplars over the headline latency series.
-    tail: &'a TailReservoir,
     /// Where every injected cell went. The transmit pipeline keeps no
     /// ledger: nothing is lost before the line.
     ledger: Option<&'a CellLedger>,
@@ -456,9 +450,10 @@ pub fn tail_report(id: &str) -> Option<String> {
 pub fn exemplars_report(id: &str) -> Option<String> {
     let mut tracer = VecTracer::new();
     let (title, run) = canonical(id, "exemplars", &mut tracer, &mut NullProfiler)?;
+    // Only end-to-end runs offer exemplars: the reservoir lives there.
+    let Run::E2e(report) = run else { return None };
     let spans = hni_telemetry::PacketSpans::from_events(tracer.events());
-    let plane = run.plane();
-    let tail = plane.tail;
+    let tail = &report.tail;
     let mut t = Table::new(["rank", "vc key", "pkt", "latency us", "done us"]);
     let slowest = tail.slowest();
     for (i, e) in slowest.iter().enumerate() {
@@ -498,9 +493,8 @@ pub fn exemplars_report(id: &str) -> Option<String> {
         }
     }
     // The p99+ cohort carved from the identity sample, using the
-    // headline histogram's log2-bucket p99 bound as the threshold.
-    let (_, headline) = *plane.latency.last()?;
-    let p99 = headline.quantile(0.99);
+    // end-to-end histogram's log2-bucket p99 bound as the threshold.
+    let p99 = report.latency_hist.quantile(0.99);
     let cohort = tail.cohort(p99);
     let _ = writeln!(
         out,

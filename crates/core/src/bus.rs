@@ -23,7 +23,7 @@
 //! approximated by the fine interleaving of cell-scale requests).
 
 use hni_sim::{BusFaultPlan, Duration, Rng, Time};
-use hni_telemetry::{Activity, Component, NullProfiler, Profiler};
+use hni_telemetry::{Activity, Component, Profiler};
 
 /// Bus timing and width parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -162,18 +162,14 @@ impl Bus {
     /// Request the bus at `now` for a burst of `words` data words
     /// carrying `bytes` payload bytes. Returns when the burst completes
     /// (including any injected stall or retry).
-    pub fn grant(&mut self, now: Time, words: u32, bytes: usize) -> Time {
-        // The null probe charges nothing, so the component is moot.
-        self.grant_profiled(now, words, bytes, Component::TxBus, &mut NullProfiler)
-    }
-
-    /// [`Bus::grant`] with cycle accounting: the burst's setup and
-    /// turnaround cycles are charged as [`Activity::Arbitration`] and
-    /// its data cycles as [`Activity::Transfer`] on `component`
-    /// (`TxBus` or `RxBus`, since each adaptor has its own channel).
-    /// Charges start when the burst actually begins — after any FCFS
-    /// queueing delay — so bus charges never overlap.
-    pub fn grant_profiled(
+    ///
+    /// Cycle accounting: the burst's setup and turnaround cycles are
+    /// charged as [`Activity::Arbitration`] and its data cycles as
+    /// [`Activity::Transfer`] on `component` (`TxBus` or `RxBus`, since
+    /// each adaptor has its own channel). Charges start when the burst
+    /// actually begins — after any FCFS queueing delay — so bus charges
+    /// never overlap.
+    pub fn grant(
         &mut self,
         now: Time,
         words: u32,
@@ -249,6 +245,7 @@ impl Bus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hni_telemetry::NullProfiler;
 
     #[test]
     fn peak_bandwidth() {
@@ -313,8 +310,8 @@ mod tests {
     #[test]
     fn bus_serializes_fcfs() {
         let mut bus = Bus::new(BusConfig::default());
-        let end1 = bus.grant(Time::ZERO, 8, 32); // 600 ns
-        let end2 = bus.grant(Time::ZERO, 8, 32); // queued behind
+        let end1 = bus.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler); // 600 ns
+        let end2 = bus.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler); // queued behind
         assert_eq!(end1, Time::from_ns(600));
         assert_eq!(end2, Time::from_ns(1200));
         assert_eq!(bus.grants(), 2);
@@ -324,13 +321,13 @@ mod tests {
 
     #[test]
     fn profiled_grant_matches_plain_and_splits_overhead() {
-        use hni_telemetry::{CycleProfiler, NullProfiler};
+        use hni_telemetry::CycleProfiler;
 
         let mut plain = Bus::new(BusConfig::default());
         let mut profiled = Bus::new(BusConfig::default());
         let mut prof = CycleProfiler::new();
-        let e1 = plain.grant(Time::ZERO, 8, 32);
-        let e2 = profiled.grant_profiled(Time::ZERO, 8, 32, Component::TxBus, &mut prof);
+        let e1 = plain.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler);
+        let e2 = profiled.grant(Time::ZERO, 8, 32, Component::TxBus, &mut prof);
         assert_eq!(e1, e2);
         assert_eq!(plain.busy_time(), profiled.busy_time());
         let p = prof.snapshot(e2);
@@ -345,11 +342,6 @@ mod tests {
         );
         // Transfer + arbitration account for the whole grant.
         assert_eq!(p.active_time(Component::TxBus), profiled.busy_time());
-
-        // With the NullProfiler the call degenerates to grant().
-        let mut off = Bus::new(BusConfig::default());
-        let e3 = off.grant_profiled(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler);
-        assert_eq!(e3, e1);
     }
 
     #[test]
@@ -358,10 +350,10 @@ mod tests {
 
         let mut bus = Bus::new(BusConfig::default());
         let mut prof = CycleProfiler::with_window(Duration::from_ns(600));
-        bus.grant_profiled(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
+        bus.grant(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
         // Requested at 0 but queued behind the first burst: charges must
         // land in [600, 1200) ns, i.e. the second 600 ns window.
-        bus.grant_profiled(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
+        bus.grant(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
         let p = prof.snapshot(Time::from_ns(1200));
         let s = p.series(Component::RxBus);
         assert_eq!(s.busy(0), Duration::from_ns(600));
@@ -372,7 +364,7 @@ mod tests {
     fn fault_free_bus_draws_no_randomness() {
         let mut bus = Bus::new(BusConfig::default());
         for _ in 0..1000 {
-            bus.grant(Time::ZERO, 8, 32);
+            bus.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler);
         }
         assert_eq!(bus.fault_rng_draws(), 0);
         assert_eq!(bus.stalls() + bus.retries(), 0);
@@ -383,8 +375,9 @@ mod tests {
         let mut plain = Bus::new(BusConfig::default());
         let mut faulty = Bus::with_faults(BusConfig::default(), BusFaultPlan::NONE);
         for i in 0..100u64 {
-            let a = plain.grant(Time::from_ns(i * 50), 8, 32);
-            let b = faulty.grant(Time::from_ns(i * 50), 8, 32);
+            let now = Time::from_ns(i * 50);
+            let a = plain.grant(now, 8, 32, Component::TxBus, &mut NullProfiler);
+            let b = faulty.grant(now, 8, 32, Component::TxBus, &mut NullProfiler);
             assert_eq!(a, b);
         }
         assert_eq!(plain.busy_time(), faulty.busy_time());
@@ -400,7 +393,7 @@ mod tests {
         };
         let mut bus = Bus::with_faults(BusConfig::default(), plan);
         // 15 burst cycles + 10 stall cycles = 25 × 40 ns.
-        let end = bus.grant(Time::ZERO, 8, 32);
+        let end = bus.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler);
         assert_eq!(end, Time::from_ns(1000));
         assert_eq!(bus.stalls(), 1);
     }
@@ -414,7 +407,7 @@ mod tests {
             seed: 5,
         };
         let mut bus = Bus::with_faults(BusConfig::default(), plan);
-        let end = bus.grant(Time::ZERO, 8, 32);
+        let end = bus.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler);
         assert_eq!(end, Time::from_ns(1200), "burst runs twice");
         assert_eq!(bus.retries(), 1);
         assert_eq!(bus.busy_time(), Duration::from_ns(1200));
@@ -432,20 +425,13 @@ mod tests {
         let run = |profiled: bool| {
             let mut bus = Bus::with_faults(BusConfig::default(), plan);
             let mut prof = CycleProfiler::new();
+            let probe: &mut dyn Profiler = if profiled {
+                &mut prof
+            } else {
+                &mut NullProfiler
+            };
             (0..200u64)
-                .map(|i| {
-                    if profiled {
-                        bus.grant_profiled(
-                            Time::from_ns(i * 2000),
-                            8,
-                            32,
-                            Component::RxBus,
-                            &mut prof,
-                        )
-                    } else {
-                        bus.grant(Time::from_ns(i * 2000), 8, 32)
-                    }
-                })
+                .map(|i| bus.grant(Time::from_ns(i * 2000), 8, 32, Component::RxBus, probe))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(false), run(false), "not deterministic");
@@ -464,7 +450,7 @@ mod tests {
         };
         let mut bus = Bus::with_faults(BusConfig::default(), plan);
         let mut prof = CycleProfiler::new();
-        let end = bus.grant_profiled(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
+        let end = bus.grant(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
         let p = prof.snapshot(end);
         assert_eq!(p.active_time(Component::RxBus), bus.busy_time());
         // Two data phases of 8 cycles each.
@@ -477,8 +463,9 @@ mod tests {
     #[test]
     fn idle_gap_not_counted_busy() {
         let mut bus = Bus::new(BusConfig::default());
-        bus.grant(Time::ZERO, 8, 32);
-        bus.grant(Time::from_us(10), 8, 32);
+        for now in [Time::ZERO, Time::from_us(10)] {
+            bus.grant(now, 8, 32, Component::TxBus, &mut NullProfiler);
+        }
         assert_eq!(bus.busy_time(), Duration::from_ns(1200));
         let util = bus.utilization(Time::from_us(10) + Duration::from_ns(600));
         assert!((util - 1200.0 / 10_600.0).abs() < 1e-9);

@@ -22,7 +22,6 @@
 use crate::nic::{Nic, NicError, NicEvent};
 use hni_atm::VcId;
 use hni_sim::{Duration, Time};
-use hni_telemetry::{NullTracer, Stage, TraceEvent, Tracer};
 use std::collections::VecDeque;
 
 /// Driver configuration.
@@ -173,34 +172,16 @@ impl HostDriver {
     /// Clock tick: emit the next SONET frame for the line and update
     /// descriptor state.
     pub fn frame_tick(&mut self, now: Time) -> Vec<u8> {
-        self.frame_tick_instrumented(now, &mut NullTracer)
-    }
-
-    /// [`HostDriver::frame_tick`] with a tracer observing the interrupt
-    /// path.
-    pub fn frame_tick_instrumented(&mut self, now: Time, tracer: &mut dyn Tracer) -> Vec<u8> {
         let frame = self.nic.frame_tick();
         self.reclaim_tx_descriptors();
-        self.maybe_interrupt(now, tracer);
+        self.maybe_interrupt(now);
         frame
     }
 
     /// Feed received line octets; packets surface at interrupt time via
     /// [`HostDriver::poll_rx`].
     pub fn receive_line_octets(&mut self, octets: &[u8], now: Time) {
-        self.receive_line_octets_instrumented(octets, now, &mut NullTracer)
-    }
-
-    /// [`HostDriver::receive_line_octets`] with a tracer observing
-    /// completion-queue pushes and the coalesced-interrupt path.
-    pub fn receive_line_octets_instrumented(
-        &mut self,
-        octets: &[u8],
-        now: Time,
-        tracer: &mut dyn Tracer,
-    ) {
-        self.nic
-            .receive_line_octets_instrumented(octets, now, tracer);
+        self.nic.receive_line_octets(octets, now);
         self.nic.expire(now);
         while let Some(ev) = self.nic.poll() {
             if let NicEvent::PacketReceived { vc, data, .. } = ev {
@@ -213,13 +194,6 @@ impl HostDriver {
                 if self.first_pending_at.is_none() {
                     self.first_pending_at = Some(now);
                 }
-                if tracer.enabled() {
-                    tracer.record(
-                        TraceEvent::instant(now, Stage::CompletionPush)
-                            .vc(vc.cam_key())
-                            .arg(data.len() as u64),
-                    );
-                }
                 self.pending_rx.push_back(RxPacket {
                     vc,
                     data,
@@ -229,28 +203,17 @@ impl HostDriver {
             // Reassembly errors / unknown VCs are adaptor statistics;
             // a fuller driver would log them.
         }
-        self.maybe_interrupt(now, tracer);
+        self.maybe_interrupt(now);
     }
 
     /// Fire the coalesced interrupt if due.
-    fn maybe_interrupt(&mut self, now: Time, tracer: &mut dyn Tracer) {
+    fn maybe_interrupt(&mut self, now: Time) {
         let due_count = self.pending_rx.len() >= self.cfg.coalesce_packets;
         let due_time = matches!(self.first_pending_at, Some(t0) if now.saturating_since(t0) >= self.cfg.coalesce_delay);
         if !self.pending_rx.is_empty() && (due_count || due_time) {
             self.interrupts += 1;
-            if tracer.enabled() {
-                tracer
-                    .record(TraceEvent::instant(now, Stage::Isr).arg(self.pending_rx.len() as u64));
-            }
             while let Some(mut p) = self.pending_rx.pop_front() {
                 p.announced_at = now;
-                if tracer.enabled() {
-                    tracer.record(
-                        TraceEvent::instant(now, Stage::HostDeliver)
-                            .vc(p.vc.cam_key())
-                            .arg(p.data.len() as u64),
-                    );
-                }
                 self.announced_rx.push_back(p);
             }
             self.first_pending_at = None;

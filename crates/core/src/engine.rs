@@ -122,8 +122,10 @@ impl TaskKind {
 
     /// The telemetry stage tag this task's engine span is recorded
     /// under, for tasks that map one-to-one onto a pipeline stage.
-    /// `None` for tasks folded into a bundled span (the CRC and HEC
-    /// assists ride inside the per-cell segmentation / receive spans).
+    /// `None` for tasks folded into a bundled span: the CRC and HEC
+    /// assists ride inside the per-cell segmentation span, and every
+    /// per-cell receive task (HEC, VCI lookup, enqueue, CRC) inside the
+    /// `rx.cell` span.
     pub fn trace_stage(self) -> Option<hni_telemetry::Stage> {
         use hni_telemetry::Stage;
         match self {
@@ -132,9 +134,10 @@ impl TaskKind {
             TaskKind::TxCellSegment => Some(Stage::TxSegment),
             TaskKind::TxCellCrc | TaskKind::TxHec => None,
             TaskKind::TxPacketComplete => Some(Stage::TxComplete),
-            TaskKind::RxHec => Some(Stage::RxHec),
-            TaskKind::RxVciLookup => Some(Stage::RxCamLookup),
-            TaskKind::RxCellEnqueue | TaskKind::RxCellCrc => None,
+            TaskKind::RxHec
+            | TaskKind::RxVciLookup
+            | TaskKind::RxCellEnqueue
+            | TaskKind::RxCellCrc => None,
             TaskKind::RxPacketValidate => Some(Stage::RxValidate),
             TaskKind::RxDmaBurst => Some(Stage::RxDmaBurst),
             TaskKind::RxPacketComplete => Some(Stage::RxComplete),
@@ -506,13 +509,16 @@ mod tests {
 
     #[test]
     fn bundled_tasks_have_no_own_stage() {
-        // CRC and HEC assists ride inside the segmentation / per-cell
-        // receive spans; everything else tags its own stage.
+        // CRC and HEC assists ride inside the segmentation span and the
+        // per-cell receive tasks inside `rx.cell`; everything else tags
+        // its own stage.
         for t in TaskKind::ALL {
             let bundled = matches!(
                 t,
                 TaskKind::TxCellCrc
                     | TaskKind::TxHec
+                    | TaskKind::RxHec
+                    | TaskKind::RxVciLookup
                     | TaskKind::RxCellEnqueue
                     | TaskKind::RxCellCrc
             );

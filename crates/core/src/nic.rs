@@ -53,7 +53,6 @@ use hni_atm::{Cell, CellRef, CellSlab, VcId, CELL_SIZE};
 use hni_sim::link::apply_bit_errors;
 use hni_sim::{FaultInjector, Time, UnitFate};
 use hni_sonet::{TcReceiver, TcTransmitter};
-use hni_telemetry::{NullTracer, Stage, TraceEvent, Tracer, VcMetrics};
 use std::collections::VecDeque;
 
 /// What the interface reports up to the host driver.
@@ -133,9 +132,6 @@ pub struct Nic {
     sdus_sent: u64,
     sdus_received: u64,
     unknown_vc_cells: u64,
-    // Always-on per-VC receive accounting at bounded cardinality
-    // (sharded exact totals + space-saving top-K heavy hitters).
-    rx_vc_metrics: VcMetrics,
 }
 
 impl Nic {
@@ -157,7 +153,6 @@ impl Nic {
             sdus_sent: 0,
             sdus_received: 0,
             unknown_vc_cells: 0,
-            rx_vc_metrics: VcMetrics::new(),
             cfg,
         }
     }
@@ -296,19 +291,6 @@ impl Nic {
     /// Feed octets received from the line; events become available via
     /// [`Nic::poll`].
     pub fn receive_line_octets(&mut self, octets: &[u8], now: Time) {
-        self.receive_line_octets_instrumented(octets, now, &mut NullTracer)
-    }
-
-    /// [`Nic::receive_line_octets`] with a tracer observing the per-cell
-    /// receive boundaries the functional path crosses discretely: HEC
-    /// acceptance (delineation hands the cell up) and the CAM / VCI
-    /// lookup (arg = 1 hit, 0 miss).
-    pub fn receive_line_octets_instrumented(
-        &mut self,
-        octets: &[u8],
-        now: Time,
-        tracer: &mut dyn Tracer,
-    ) {
         // The cell scratch is a reused field: no per-delivery allocation
         // once the working set is warm. Taken out of `self` so the
         // per-cell handler can borrow the rest of the interface.
@@ -316,12 +298,7 @@ impl Nic {
         cells.clear();
         self.tc_rx.push_bytes(octets, &mut cells);
         for cell in &cells {
-            if tracer.enabled() {
-                // A cell only emerges from the TC receiver once its HEC
-                // passed inside cell delineation.
-                tracer.record(TraceEvent::instant(now, Stage::RxHec));
-            }
-            self.receive_cell(cell, now, tracer);
+            self.receive_cell(cell, now);
         }
         self.rx_cells = cells;
         self.maybe_expire(now);
@@ -329,22 +306,10 @@ impl Nic {
 
     /// The per-cell receive body behind [`Nic::receive_line_octets`]:
     /// CAM lookup, OAM handling, reassembly, event generation.
-    fn receive_cell(&mut self, cell: &Cell, now: Time, tracer: &mut dyn Tracer) {
+    fn receive_cell(&mut self, cell: &Cell, now: Time) {
         let Ok(header) = cell.header() else { return };
         let vc = header.vc();
-        // Always-on per-VC accounting before any disposition: unknown-VC
-        // and OAM cells count toward their VC's volume too.
-        self.rx_vc_metrics
-            .record_cell(vc.cam_key(), CELL_SIZE as u64);
-        let miss = matches!(self.cam.lookup(vc), CamResult::Miss);
-        if tracer.enabled() {
-            tracer.record(
-                TraceEvent::instant(now, Stage::RxCamLookup)
-                    .vc(vc.cam_key())
-                    .arg(u64::from(!miss)),
-            );
-        }
-        if miss {
+        if matches!(self.cam.lookup(vc), CamResult::Miss) {
             self.unknown_vc_cells += 1;
             self.events.push_back(NicEvent::UnknownVc(vc));
             return;
@@ -364,13 +329,6 @@ impl Nic {
             None => {}
             Some(Ok(sdu)) => {
                 self.sdus_received += 1;
-                if tracer.enabled() {
-                    tracer.record(
-                        TraceEvent::instant(now, Stage::RxReasmComplete)
-                            .vc(sdu.vc.cam_key())
-                            .arg(sdu.data.len() as u64),
-                    );
-                }
                 self.events.push_back(NicEvent::PacketReceived {
                     vc: sdu.vc,
                     mid: sdu.mid,
@@ -434,11 +392,6 @@ impl Nic {
     /// Cells dropped for lacking a CAM entry.
     pub fn unknown_vc_cells(&self) -> u64 {
         self.unknown_vc_cells
-    }
-    /// Always-on per-VC receive metrics: exact sharded cell/byte
-    /// totals plus the space-saving top-K heavy hitters.
-    pub fn rx_vc_metrics(&self) -> &VcMetrics {
-        &self.rx_vc_metrics
     }
     /// Receive-side TC statistics.
     pub fn tc_receiver(&self) -> &TcReceiver {

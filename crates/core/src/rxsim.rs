@@ -55,8 +55,7 @@ use hni_aal::AalType;
 use hni_sim::{BusFaultPlan, Duration, EventQueue, FaultInjector, FaultPlan, Histogram, Time};
 use hni_sonet::LineRate;
 use hni_telemetry::{
-    Activity, Component, NullProfiler, NullTracer, Profiler, Stage, TailReservoir, TraceEvent,
-    Tracer, VcMetrics,
+    Activity, Component, NullProfiler, NullTracer, Profiler, Stage, TraceEvent, Tracer, VcMetrics,
 };
 use std::collections::VecDeque;
 
@@ -330,9 +329,6 @@ pub struct RxReport {
     /// count, mean, min and max, plus the always-on log₂
     /// p50/p90/p99/p999 bands.
     pub latency_hist: Histogram,
-    /// Tail exemplars: the slowest packets' identities plus a
-    /// deterministic identity sample (always on, fixed capacity).
-    pub tail: TailReservoir,
     /// Per-connection cell volume at bounded cardinality (always on).
     pub vc_cells: VcMetrics,
     /// When the last packet completed ([`Time::ZERO`] if none did).
@@ -470,7 +466,6 @@ pub fn run_rx_full(
     let mut delivered_packets = 0u64;
     let mut delivered_octets = 0u64;
     let mut latency_hist = Histogram::new();
-    let mut tail = TailReservoir::paper();
     let mut vc_cells = VcMetrics::new();
     let mut finished_at = Time::ZERO;
     // End of *productive* simulated activity (expiry ticks excluded, so
@@ -658,7 +653,7 @@ pub fn run_rx_full(
                             } else if engine.partition.in_hardware(TaskKind::RxDmaBurst) {
                                 d.issued += 1;
                                 let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), 0);
-                                let done = bus.grant_profiled(
+                                let done = bus.grant(
                                     now,
                                     words,
                                     words as usize * cfg.bus.word_bytes,
@@ -676,7 +671,7 @@ pub fn run_rx_full(
                     RTask::Burst(p) => {
                         let bi = dma[p].issued - 1;
                         let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), bi);
-                        let done = bus.grant_profiled(
+                        let done = bus.grant(
                             now,
                             words,
                             words as usize * cfg.bus.word_bytes,
@@ -706,7 +701,6 @@ pub fn run_rx_full(
                         if let Some(t0) = fate.first_activity(p) {
                             let lat = now.saturating_since(t0);
                             latency_hist.record_duration(lat);
-                            tail.record(meta.conn as u32, p as u32, lat, now);
                         }
                     }
                 }
@@ -729,7 +723,7 @@ pub fn run_rx_full(
                     if engine.partition.in_hardware(TaskKind::RxDmaBurst) {
                         let bi = d.issued - 1;
                         let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), bi);
-                        let done = bus.grant_profiled(
+                        let done = bus.grant(
                             now,
                             words,
                             words as usize * cfg.bus.word_bytes,
@@ -803,7 +797,6 @@ pub fn run_rx_full(
         pool_peak: fate.pool().peak_in_use(),
         pool_mean: fate.pool().mean_in_use(end),
         latency_hist,
-        tail,
         vc_cells,
         finished_at,
         run_end: end,

@@ -36,8 +36,7 @@ use hni_atm::{Gcra, VcId};
 use hni_sim::{Duration, EventQueue, Histogram, Summary, Time};
 use hni_sonet::LineRate;
 use hni_telemetry::{
-    Activity, Component, NullProfiler, NullTracer, Profiler, Stage, TailReservoir, TraceEvent,
-    Tracer, VcMetrics,
+    Activity, Component, NullProfiler, NullTracer, Profiler, Stage, TraceEvent, Tracer, VcMetrics,
 };
 use std::collections::VecDeque;
 
@@ -115,10 +114,6 @@ pub struct TxReport {
     /// exact count, mean, min and max, plus the always-on log₂
     /// p50/p90/p99/p999 bands — the tail a mean hides.
     pub latency_hist: Histogram,
-    /// Tail exemplars: identities of the slowest packets plus a
-    /// deterministic identity sample — the histogram's tail, with
-    /// names attached (always on, fixed capacity).
-    pub tail: TailReservoir,
     /// Per-VC cell volume at bounded cardinality: exact sharded totals
     /// plus the space-saving heavy-hitter top-K (always on, O(K)).
     pub vc_cells: VcMetrics,
@@ -263,7 +258,6 @@ pub fn run_tx_full(
     let mut payload_octets = 0u64;
     let mut finished_at = Time::ZERO;
     let mut latency_hist = Histogram::new();
-    let mut tail = TailReservoir::paper();
     let mut vc_cells = VcMetrics::new();
     let mut slots_elapsed: u64 = 0;
     let mut departures = Vec::new();
@@ -424,8 +418,7 @@ pub fn run_tx_full(
                             (words as usize * cfg.bus.word_bytes).min(pkt.len.saturating_sub(
                                 bi as usize * cfg.bus.max_burst_words as usize * cfg.bus.word_bytes,
                             ));
-                        let done =
-                            bus.grant_profiled(now, words, bytes, Component::TxBus, profiler);
+                        let done = bus.grant(now, words, bytes, Component::TxBus, profiler);
                         bursts_in_flight += 1;
                         q.schedule(done, Ev::BurstDone(ci));
                     }
@@ -567,7 +560,6 @@ pub fn run_tx_full(
                         payload_octets += packets[pkt_idx].len as u64;
                         let lat = now.saturating_since(packets[pkt_idx].arrival);
                         latency_hist.record_duration(lat);
-                        tail.record(packets[pkt_idx].vc.cam_key(), pkt_idx as u32, lat, now);
                     }
                 }
                 // Admit waiting VCs into freed FIFO space.
@@ -636,7 +628,6 @@ pub fn run_tx_full(
             0.0
         },
         latency_hist,
-        tail,
         vc_cells,
         fifo_peak,
         departures,
@@ -701,7 +692,7 @@ fn issue_burst(
         let words = cfg.bus.burst_words(pkt.len.max(1), bi);
         let base = bi as usize * cfg.bus.max_burst_words as usize * cfg.bus.word_bytes;
         let bytes = (words as usize * cfg.bus.word_bytes).min(pkt.len.saturating_sub(base));
-        let done = bus.grant_profiled(now, words, bytes, Component::TxBus, profiler);
+        let done = bus.grant(now, words, bytes, Component::TxBus, profiler);
         *bursts_in_flight += 1;
         q.schedule(done, Ev::BurstDone(ci));
     } else {

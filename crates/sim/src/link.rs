@@ -20,7 +20,6 @@
 
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::rng::Rng;
-use crate::stats::Histogram;
 use crate::time::{Duration, Time};
 
 /// The fate of one transmitted unit.
@@ -48,11 +47,6 @@ pub struct Link {
     propagation: Duration,
     injector: FaultInjector,
     next_free: Time,
-    // Always-on telemetry: offered→delivered delay (queueing for the
-    // line + serialization + propagation + displacement) per unit, in
-    // picoseconds. Fixed-size and O(1) per send, so it stays on in the
-    // zero-alloc fast path.
-    delay_hist: Histogram,
 }
 
 impl Link {
@@ -65,7 +59,6 @@ impl Link {
             propagation,
             injector: FaultInjector::new(plan, rng),
             next_free: Time::ZERO,
-            delay_hist: Histogram::new(),
         }
     }
 
@@ -97,7 +90,6 @@ impl Link {
             return LinkDelivery::Lost;
         }
         let at = self.next_free + self.propagation + ser * fate.displaced as u64;
-        self.delay_hist.record(at.saturating_since(now).as_ps());
         LinkDelivery::Delivered {
             at,
             duplicate_at: fate.duplicated.then(|| at + ser),
@@ -113,12 +105,6 @@ impl Link {
     /// is [`FaultPlan::NONE`] — the faultless fast path is free).
     pub fn rng_draws(&self) -> u64 {
         self.injector.rng_draws()
-    }
-    /// Offered→delivered delay distribution of every unit the link has
-    /// delivered (picoseconds): the queue-for-the-line tail the mean
-    /// utilization numbers hide.
-    pub fn delay_hist(&self) -> &Histogram {
-        &self.delay_hist
     }
 }
 
@@ -167,28 +153,6 @@ mod tests {
             l.send(Time::from_us(i * 10), 424);
         }
         assert_eq!(l.rng_draws(), 0);
-    }
-
-    #[test]
-    fn delay_hist_sees_queueing() {
-        let mut l = mk(1e9, FaultPlan::NONE);
-        // Two back-to-back 8000-bit units offered at t=0: the first
-        // waits 0, the second queues 8 µs behind it.
-        l.send(Time::ZERO, 8000);
-        l.send(Time::ZERO, 8000);
-        let h = l.delay_hist();
-        assert_eq!(h.count(), 2);
-        // First delivery: 18 µs; second: 26 µs — the exact max shows
-        // the queueing tail the mean hides.
-        assert_eq!(h.max(), Duration::from_us(26).as_ps());
-        assert!(h.quantile(0.5) >= Duration::from_us(18).as_ps());
-    }
-
-    #[test]
-    fn lost_units_record_no_delay() {
-        let mut l = mk(1e9, FaultPlan::loss(1.0));
-        l.send(Time::ZERO, 424);
-        assert_eq!(l.delay_hist().count(), 0);
     }
 
     #[test]

@@ -237,13 +237,14 @@ impl FrameBuilder {
         self.b3_next = b3;
         self.b2_next = b2;
 
-        // Scramble everything except row 0 of TOH.
+        // Scramble everything except row 0 of TOH. The scrambler clocks
+        // only on scrambled octets: it starts on the octet after the
+        // last J0/Z0.
         let mut scr = FrameScrambler::new();
         for row in 0..9 {
             for col in 0..cols {
-                let key = scr.next_octet();
                 if !geo.is_unscrambled(row, col) {
-                    f[geo.index(row, col)] ^= key;
+                    f[geo.index(row, col)] ^= scr.next_octet();
                 }
             }
         }
@@ -339,9 +340,8 @@ impl FrameParser {
         let mut scr = FrameScrambler::new();
         for row in 0..9 {
             for col in 0..cols {
-                let key = scr.next_octet();
                 if !geo.is_unscrambled(row, col) {
-                    f[geo.index(row, col)] ^= key;
+                    f[geo.index(row, col)] ^= scr.next_octet();
                 }
             }
         }
@@ -466,6 +466,20 @@ mod tests {
     }
 
     #[test]
+    fn scrambler_starts_on_the_octet_after_the_last_j0_z0() {
+        // GR-253 §5.3: that octet is J1 (row 0, column 3N), and it takes
+        // keystream octet 0 (0xFE). The first frame's J1 is 0x40.
+        assert_eq!(FrameScrambler::new().next_octet(), 0xFE);
+        for rate in [LineRate::Oc3, LineRate::Oc12] {
+            let geo = FrameGeometry::new(rate);
+            let j1 = geo.index(0, geo.poh_col());
+            assert_eq!(j1, 3 * rate.sts_n());
+            let frame = FrameBuilder::new(rate).build(&payload_for(rate, 0), 0);
+            assert_eq!(frame[j1], 0xBE, "{rate:?}: J1 0x40 ^ 0xFE");
+        }
+    }
+
+    #[test]
     fn scrambled_region_differs_from_plaintext() {
         // Statistical smoke test: payload octets on the wire should not
         // equal the plaintext payload (except rare coincidences).
@@ -543,16 +557,16 @@ mod tests {
         let rate = LineRate::Oc3;
         let mut b = FrameBuilder::new(rate);
         let mut frame = b.build(&payload_for(rate, 0), 0);
-        // Flip C2 through the scrambler: locate and XOR both.
+        // Flip C2 through the scrambler: locate and XOR both. The
+        // keystream starts after row 0's 3N unscrambled TOH octets.
         let geo = FrameGeometry::new(rate);
         let mut scr = FrameScrambler::new();
         let mut keys = vec![0u8; rate.frame_octets()];
-        for k in keys.iter_mut() {
+        for k in keys[3 * rate.sts_n()..].iter_mut() {
             *k = scr.next_octet();
         }
         let idx = geo.index(2, geo.poh_col());
-        frame[idx] = 0xFF ^ keys[idx] ^ (C2_ATM ^ C2_ATM); // set to 0xFF pre-scramble
-        frame[idx] = 0xFF ^ keys[idx];
+        frame[idx] = 0xFF ^ keys[idx]; // 0xFF before scrambling
         let mut p = FrameParser::new(rate);
         assert!(matches!(
             p.parse(&frame),

@@ -2,7 +2,6 @@
 
 use hni_atm::{Cell, HeaderRepr, VcId};
 use hni_sim::{OccupancyTracker, Time};
-use hni_telemetry::{NullTracer, Stage, TraceEvent, Tracer};
 use std::collections::{HashMap, VecDeque};
 
 /// Switch parameters.
@@ -98,18 +97,6 @@ impl Switch {
     /// immediately (output-queued fabric). Returns `true` if the cell
     /// was queued, `false` if dropped (any cause).
     pub fn offer(&mut self, in_port: usize, cell: &Cell, now: Time) -> bool {
-        self.offer_traced(in_port, cell, now, &mut NullTracer)
-    }
-
-    /// [`Switch::offer`] with a tracer recording the enqueue (arg =
-    /// queue depth after, vc = translated label).
-    pub fn offer_traced(
-        &mut self,
-        in_port: usize,
-        cell: &Cell,
-        now: Time,
-        tracer: &mut dyn Tracer,
-    ) -> bool {
         assert!(in_port < self.cfg.ports);
         let Ok(header) = cell.header() else {
             self.unroutable += 1;
@@ -141,13 +128,6 @@ impl Switch {
             .expect("translated header must be encodable");
         q.push_back(out);
         self.occupancy[route.out_port].set(now, q.len() as u64);
-        if tracer.enabled() {
-            tracer.record(
-                TraceEvent::instant(now, Stage::SwitchEnqueue)
-                    .vc(route.out_vc.cam_key())
-                    .arg(self.queues[route.out_port].len() as u64),
-            );
-        }
         true
     }
 
@@ -157,17 +137,6 @@ impl Switch {
     /// user-data cell departs with its congestion-experienced bit set —
     /// the forward warning downstream rate control acts on.
     pub fn pull(&mut self, out_port: usize, now: Time) -> Option<Cell> {
-        self.pull_traced(out_port, now, &mut NullTracer)
-    }
-
-    /// [`Switch::pull`] with a tracer recording the dequeue (arg =
-    /// queue depth after).
-    pub fn pull_traced(
-        &mut self,
-        out_port: usize,
-        now: Time,
-        tracer: &mut dyn Tracer,
-    ) -> Option<Cell> {
         assert!(out_port < self.cfg.ports);
         let depth_before = self.queues[out_port].len();
         let mut cell = self.queues[out_port].pop_front()?;
@@ -192,17 +161,6 @@ impl Switch {
         }
         self.stats[out_port].carried += 1;
         self.occupancy[out_port].set(now, self.queues[out_port].len() as u64);
-        if tracer.enabled() {
-            let vc = cell
-                .header()
-                .map(|h| h.vc().cam_key())
-                .unwrap_or(hni_telemetry::NO_ID);
-            tracer.record(
-                TraceEvent::instant(now, Stage::SwitchDequeue)
-                    .vc(vc)
-                    .arg(self.queues[out_port].len() as u64),
-            );
-        }
         Some(cell)
     }
 

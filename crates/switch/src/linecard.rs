@@ -9,9 +9,8 @@
 //! hop* at the frame level, label translation and all.
 
 use crate::fabric::{Switch, SwitchConfig};
-use hni_sim::{Histogram, Time};
+use hni_sim::Time;
 use hni_sonet::{LineRate, TcReceiver, TcTransmitter};
-use hni_telemetry::{Activity, Component, NullProfiler, Profiler};
 
 /// One port's SONET termination.
 pub struct LineCard {
@@ -45,9 +44,6 @@ pub struct SwitchNode {
     fabric: Switch,
     cards: Vec<LineCard>,
     rate: LineRate,
-    // Always-on: per-tick output backlog (cells) across all ports —
-    // the queue-depth distribution congestion work is judged by.
-    backlog_hist: Histogram,
 }
 
 impl SwitchNode {
@@ -58,7 +54,6 @@ impl SwitchNode {
             fabric: Switch::new(cfg),
             cards,
             rate,
-            backlog_hist: Histogram::new(),
         }
     }
 
@@ -84,58 +79,20 @@ impl SwitchNode {
     /// Produce `port`'s next outgoing 125 µs frame, draining the
     /// fabric's output queue at one cell per payload slot.
     pub fn frame_tick(&mut self, port: usize, now: Time) -> Vec<u8> {
-        self.frame_tick_profiled(port, now, &mut NullProfiler)
-    }
-
-    /// [`SwitchNode::frame_tick`] with cycle accounting: each cell the
-    /// tick drains from the fabric charges one output cell slot of
-    /// `(switch, transfer)`, laid out sequentially from `now`, and the
-    /// port's residual backlog is sampled as the `switch` gauge.
-    pub fn frame_tick_profiled(
-        &mut self,
-        port: usize,
-        now: Time,
-        profiler: &mut dyn Profiler,
-    ) -> Vec<u8> {
         // One frame carries ⌊payload/53⌋ whole cells plus a fractional
         // carry the TC layer tracks internally; drain enough cells to
         // keep the TC queue primed one frame ahead.
         let per_frame = self.rate.payload_octets_per_frame() / 53 + 1;
-        let slot = self.rate.cell_slot_time();
-        let mut drained = 0u64;
         for _ in 0..per_frame {
             if self.cards[port].tx.backlog_cells() > per_frame {
                 break;
             }
             match self.fabric.pull(port, now) {
-                Some(cell) => {
-                    self.cards[port].tx.push_cell(&cell);
-                    drained += 1;
-                }
+                Some(cell) => self.cards[port].tx.push_cell(&cell),
                 None => break,
             }
         }
-        // Always-on backlog distribution: one sample per tick, O(1),
-        // no allocation; the profiler gauge below stays opt-in.
-        self.backlog_hist.record(self.output_backlog(port) as u64);
-        if profiler.enabled() {
-            for i in 0..drained {
-                profiler.charge(Component::Switch, Activity::Transfer, now + slot * i, slot);
-            }
-            profiler.gauge(Component::Switch, now, self.output_backlog(port) as u64);
-        }
         self.cards[port].tx.pull_frame()
-    }
-
-    /// Cells a port's output (fabric queue + TC backlog) still holds.
-    pub fn output_backlog(&self, port: usize) -> usize {
-        self.fabric.queue_len(port) + self.cards[port].tx.backlog_cells()
-    }
-
-    /// Distribution of output backlogs sampled at every frame tick
-    /// (all ports pooled): p50/p99 queue depth under load.
-    pub fn backlog_hist(&self) -> &Histogram {
-        &self.backlog_hist
     }
 }
 
@@ -213,78 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_tick_matches_plain_and_charges_slots() {
-        use hni_telemetry::CycleProfiler;
-
-        let rate = LineRate::Oc3;
-        let mk = || {
-            let mut node = SwitchNode::new(
-                SwitchConfig {
-                    ports: 2,
-                    output_queue_cells: 128,
-                    clp_threshold: 128,
-                    efci_threshold: 128,
-                },
-                rate,
-            );
-            node.fabric().add_route(
-                0,
-                VcId::new(0, 50),
-                RouteEntry {
-                    out_port: 1,
-                    out_vc: VcId::new(3, 350),
-                },
-            );
-            let mut upstream = TcTransmitter::new(rate);
-            for _ in 0..14 {
-                let f = upstream.pull_frame();
-                node.receive_frame(0, &f, Time::ZERO);
-            }
-            for i in 0..10u8 {
-                let cell = Cell::new(
-                    &HeaderRepr::data(VcId::new(0, 50), i % 2 == 0),
-                    &[i; PAYLOAD_SIZE],
-                )
-                .unwrap();
-                upstream.push_cell(&cell);
-            }
-            let f = upstream.pull_frame();
-            node.receive_frame(0, &f, Time::ZERO);
-            node
-        };
-
-        let mut plain = mk();
-        let mut profiled = mk();
-        let mut prof = CycleProfiler::new();
-        let f1 = plain.frame_tick(1, Time::ZERO);
-        let f2 = profiled.frame_tick_profiled(1, Time::ZERO, &mut prof);
-        assert_eq!(f1, f2, "profiling must not change the output frame");
-        let p = prof.snapshot(Time::from_us(125));
-        let slots = p.total(Component::Switch, Activity::Transfer);
-        // 10 cells drained → exactly 10 output cell slots of transfer.
-        assert_eq!(slots, rate.cell_slot_time() * 10);
-    }
-
-    #[test]
-    fn backlog_hist_samples_every_tick() {
-        let rate = LineRate::Oc3;
-        let mut node = SwitchNode::new(
-            SwitchConfig {
-                ports: 2,
-                output_queue_cells: 128,
-                clp_threshold: 128,
-                efci_threshold: 128,
-            },
-            rate,
-        );
-        assert_eq!(node.backlog_hist().count(), 0);
-        node.frame_tick(0, Time::ZERO);
-        node.frame_tick(1, Time::ZERO);
-        assert_eq!(node.backlog_hist().count(), 2, "one sample per tick");
-        assert_eq!(node.backlog_hist().max(), 0, "idle node has no backlog");
-    }
-
-    #[test]
     fn unrouted_traffic_dies_in_the_node() {
         let rate = LineRate::Oc3;
         let mut node = SwitchNode::new(
@@ -312,6 +197,7 @@ mod tests {
             node.receive_frame(0, &f, Time::ZERO);
         }
         assert_eq!(node.fabric.unroutable(), 1);
-        assert_eq!(node.output_backlog(1), 0);
+        assert_eq!(node.fabric.queue_len(1), 0);
+        assert_eq!(node.cards[1].tx.backlog_cells(), 0);
     }
 }

@@ -7,7 +7,7 @@ use hni_sim::Time;
 pub const NO_ID: u32 = u32::MAX;
 
 /// A pipeline stage boundary. Names are hierarchical, mirroring the
-/// metric naming scheme (`tx.seg`, `rx.reasm.append`, `host.isr`).
+/// metric naming scheme (`tx.seg`, `rx.reasm.append`, `host.cq.push`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
     /// Transmit descriptor fetched / packet arrival at the interface.
@@ -30,10 +30,6 @@ pub enum Stage {
     RxFifoEnqueue,
     /// Cell lost to input-FIFO overrun.
     RxFifoDrop,
-    /// HEC verification of a received cell.
-    RxHec,
-    /// CAM / VCI lookup of a received cell.
-    RxCamLookup,
     /// Bundled per-cell receive engine work (HEC·lookup·enqueue·CRC).
     RxCell,
     /// Cell appended to a reassembly chain (arg = chain length).
@@ -65,14 +61,6 @@ pub enum Stage {
     RxComplete,
     /// Completion-queue push toward the host.
     CompletionPush,
-    /// Host interrupt (ISR entry).
-    Isr,
-    /// Host driver handed the packet to the application.
-    HostDeliver,
-    /// Cell enqueued into a switch output port (arg = queue depth).
-    SwitchEnqueue,
-    /// Cell pulled from a switch output port (arg = queue depth).
-    SwitchDequeue,
 }
 
 impl Stage {
@@ -89,8 +77,6 @@ impl Stage {
             Stage::RxCellArrive => "rx.arrive",
             Stage::RxFifoEnqueue => "rx.fifo.enq",
             Stage::RxFifoDrop => "rx.fifo.drop",
-            Stage::RxHec => "rx.hec",
-            Stage::RxCamLookup => "rx.cam",
             Stage::RxCell => "rx.cell",
             Stage::RxReasmAppend => "rx.reasm.append",
             Stage::RxPoolDrop => "rx.pool.drop",
@@ -104,10 +90,6 @@ impl Stage {
             Stage::RxDmaBurst => "rx.dma",
             Stage::RxComplete => "rx.complete",
             Stage::CompletionPush => "host.cq.push",
-            Stage::Isr => "host.isr",
-            Stage::HostDeliver => "host.deliver",
-            Stage::SwitchEnqueue => "switch.enq",
-            Stage::SwitchDequeue => "switch.deq",
         }
     }
 }
@@ -247,8 +229,6 @@ mod tests {
             Stage::RxCellArrive,
             Stage::RxFifoEnqueue,
             Stage::RxFifoDrop,
-            Stage::RxHec,
-            Stage::RxCamLookup,
             Stage::RxCell,
             Stage::RxReasmAppend,
             Stage::RxPoolDrop,
@@ -262,10 +242,6 @@ mod tests {
             Stage::RxDmaBurst,
             Stage::RxComplete,
             Stage::CompletionPush,
-            Stage::Isr,
-            Stage::HostDeliver,
-            Stage::SwitchEnqueue,
-            Stage::SwitchDequeue,
         ];
         let names: BTreeSet<&str> = all.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), all.len(), "duplicate stage name");

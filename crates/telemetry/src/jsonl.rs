@@ -78,10 +78,10 @@ mod tests {
 
     #[test]
     fn sentinel_fields_omitted() {
-        let ev = TraceEvent::instant(Time::ZERO, Stage::Isr);
+        let ev = TraceEvent::instant(Time::ZERO, Stage::CompletionPush);
         let mut s = String::new();
         write_event(&mut s, &ev);
-        assert_eq!(s, "{\"t_ps\":0,\"stage\":\"host.isr\",\"ph\":\"I\"}");
+        assert_eq!(s, "{\"t_ps\":0,\"stage\":\"host.cq.push\",\"ph\":\"I\"}");
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //!   behind the waterfall, splitting every stage into queue-wait vs
 //!   service time; partial lives (dropped packets) stay attributable.
 //! * [`reservoir`] — [`TailReservoir`], the always-on zero-alloc tail
-//!   exemplar reservoir next to `latency_hist` in every report:
+//!   exemplar reservoir next to the end-to-end report's `latency_hist`:
 //!   slowest-N packet identities plus a deterministic identity sample
 //!   the p99+ cohort is carved from, byte-identical across reruns and
 //!   `HNI_JOBS`.

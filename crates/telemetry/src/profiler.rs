@@ -48,13 +48,11 @@ pub enum Component {
     RxPool,
     /// TURBOchannel bus on the receive adaptor.
     RxBus,
-    /// Switch output stage (fabric drain into the line card).
-    Switch,
 }
 
 impl Component {
     /// Number of components (array dimension).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// Every component, in canonical (pipeline) order. This order is the
     /// deterministic tie-break everywhere components are ranked or
@@ -69,7 +67,6 @@ impl Component {
         Component::RxEngine,
         Component::RxPool,
         Component::RxBus,
-        Component::Switch,
     ];
 
     /// Stable hierarchical name (used in folded stacks and the
@@ -85,7 +82,6 @@ impl Component {
             Component::RxEngine => "rx.engine",
             Component::RxPool => "rx.pool",
             Component::RxBus => "rx.bus",
-            Component::Switch => "switch",
         }
     }
 }
@@ -96,7 +92,7 @@ impl Component {
 pub enum Activity {
     /// Engine executing protocol instructions.
     Busy,
-    /// Data moving (bus data cycles, link cell slots, switch drain).
+    /// Data moving (bus data cycles, link cell slots).
     Transfer,
     /// Bus overhead: burst setup and turnaround cycles.
     Arbitration,
@@ -161,8 +157,8 @@ pub trait Profiler {
     /// Charge `dur` of `activity` on `component`, starting at `from`.
     fn charge(&mut self, component: Component, activity: Activity, from: Time, dur: Duration);
 
-    /// Sample an occupancy gauge (FIFO depth, pool buffers in use,
-    /// switch backlog) for `component` at time `now`.
+    /// Sample an occupancy gauge (FIFO depth, pool buffers in use) for
+    /// `component` at time `now`.
     fn gauge(&mut self, component: Component, now: Time, value: u64);
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Histograms answer "how slow is p99"; they cannot answer "*which*
 //! packets were the p99, so I can go look at them". This reservoir
-//! retains packet identities at a fixed, small cost so every report can
-//! name its tail:
+//! retains packet identities at a fixed, small cost so the end-to-end
+//! report can name its tail:
 //!
 //! * the **slowest-N** packets seen (exact top-N by latency), and
 //! * a **deterministic 1-in-M sample** of packet identities (top-K by
@@ -19,8 +19,8 @@
 //! Capacities are fixed at construction and both vectors are
 //! preallocated: after the reservoir warms up, recording is
 //! **zero-alloc** (gated by the counting-allocator test) and O(N+K)
-//! scans of two tiny arrays — cheap enough to leave on in every run,
-//! next to `latency_hist`.
+//! scans of two tiny arrays — cheap enough to leave on in every
+//! end-to-end run, next to `latency_hist`.
 //!
 //! [`Sampler`]: crate::sampler::Sampler
 

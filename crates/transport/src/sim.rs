@@ -51,8 +51,7 @@ use hni_faults::{DelayLine, DelayModel, FaultInjector, FaultPlan};
 use hni_sim::{Duration, EventQueue, Histogram, Time};
 use hni_sonet::LineRate;
 use hni_telemetry::{
-    Activity, Component, NullProfiler, NullTracer, Profiler, Stage, TailReservoir, TraceEvent,
-    Tracer, VcMetrics,
+    Activity, Component, NullProfiler, NullTracer, Profiler, Stage, TraceEvent, Tracer, VcMetrics,
 };
 
 use crate::rto::{RtoConfig, RtoEstimator};
@@ -222,8 +221,6 @@ pub struct TransportReport {
     pub rng_draws: u64,
     /// Latency of unique deliveries, first transmission to delivery.
     pub frame_latency: Histogram,
-    /// Always-on exemplar reservoir over the same latencies.
-    pub tail: TailReservoir,
     /// Always-on per-VC cell accounting at the receive interface.
     pub vc_cells: VcMetrics,
     /// Per-cell conservation ledger, retransmit provenance included.
@@ -318,7 +315,6 @@ struct Sim {
     last_event: Time,
     finished_at: Time,
     frame_latency: Histogram,
-    tail: TailReservoir,
     vc_cells: VcMetrics,
 }
 
@@ -390,7 +386,6 @@ impl Sim {
             last_event: Time::ZERO,
             finished_at: Time::ZERO,
             frame_latency: Histogram::new(),
-            tail: TailReservoir::paper(),
             vc_cells: VcMetrics::new(),
         }
     }
@@ -503,7 +498,6 @@ impl Sim {
                 + self.fwd_delay.rng_draws()
                 + self.rev_delay.rng_draws(),
             frame_latency: self.frame_latency.clone(),
-            tail: self.tail.clone(),
             vc_cells: self.vc_cells.clone(),
             ledger: self.fate.ledger,
         }
@@ -905,7 +899,6 @@ impl Sim {
             self.finished_at = now;
             let lat = now.saturating_since(f.frames[seq].first_sent);
             self.frame_latency.record_duration(lat);
-            self.tail.record(conn, pkt as u32, lat, now);
             if tracer.enabled() {
                 tracer.record(
                     TraceEvent::instant(now, Stage::CompletionPush)

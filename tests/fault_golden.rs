@@ -17,6 +17,7 @@ use hni_core::txsim::{greedy_workload, TxConfig};
 use hni_core::{Bus, BusConfig};
 use hni_sim::{BusFaultPlan, Duration, FaultInjector, FaultPlan, Link, LinkDelivery, Rng, Time};
 use hni_sonet::LineRate;
+use hni_telemetry::{Component, NullProfiler};
 
 #[test]
 fn faultless_injector_never_touches_the_rng() {
@@ -54,8 +55,8 @@ fn faultless_bus_never_touches_the_rng() {
     let mut gated = Bus::with_faults(cfg, BusFaultPlan::NONE);
     let mut now = Time::ZERO;
     for i in 0..2_000u32 {
-        let a = plain.grant(now, 32, 128);
-        let b = gated.grant(now, 32, 128);
+        let a = plain.grant(now, 32, 128, Component::RxBus, &mut NullProfiler);
+        let b = gated.grant(now, 32, 128, Component::RxBus, &mut NullProfiler);
         assert_eq!(a, b, "grant {i} diverged");
         now = a;
     }

@@ -14,8 +14,7 @@ use hni_core::rxsim::{run_rx, run_rx_full, RxConfig, RxWorkload};
 use hni_core::txsim::{greedy_workload, run_tx, run_tx_full, TxConfig};
 use hni_core::{DiscardPolicy, PoolConfig};
 use hni_faults::{scenarios, FaultPlan};
-use hni_host::{DriverCosts, HostCpu, InterruptMode, RxHostModel};
-use hni_sim::{Duration, Time};
+use hni_sim::Duration;
 use hni_sonet::LineRate;
 use hni_telemetry::{NullProfiler, Stage, VecTracer};
 use hni_transport::{run_transport_full, TransportConfig};
@@ -56,75 +55,6 @@ fn e2e_report_identical_with_tracing_on() {
     let traced = run_e2e_full(&txc, &rxc, &wl, prop, &mut tracer, &mut NullProfiler);
     assert!(!tracer.is_empty());
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-}
-
-#[test]
-fn host_model_report_identical_with_tracing_on() {
-    let model = RxHostModel {
-        cpu: HostCpu::workstation(),
-        costs: DriverCosts::default(),
-        interrupts: InterruptMode::Coalesced {
-            max_packets: 8,
-            max_delay: Duration::from_ms(1),
-        },
-    };
-    let arrivals: Vec<(Time, usize)> = (0..40).map(|i| (Time::from_us(10 * i), 9180)).collect();
-    let plain = model.process(&arrivals);
-    let mut tracer = VecTracer::new();
-    let traced = model.process_instrumented(&arrivals, &mut tracer);
-    assert!(!tracer.is_empty());
-    assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-}
-
-#[test]
-fn functional_driver_identical_with_tracing_on() {
-    use hni_core::{DriverConfig, HostDriver, Nic, NicConfig};
-    use hni_telemetry::Stage;
-
-    let run = |tracer: &mut dyn hni_telemetry::Tracer| {
-        let cfg = NicConfig::paper(LineRate::Oc3);
-        let mut a = HostDriver::new(Nic::new(cfg.clone()), DriverConfig::default());
-        let mut b = HostDriver::new(Nic::new(cfg), DriverConfig::default());
-        let vc = VcId::new(0, 66);
-        a.nic_mut().open_vc(vc).unwrap();
-        b.nic_mut().open_vc(vc).unwrap();
-        for _ in 0..12 {
-            let f = a.frame_tick(Time::ZERO);
-            b.receive_line_octets(&f, Time::ZERO);
-        }
-        for i in 0..5u8 {
-            a.send(vc, vec![i; 500], Time::ZERO).unwrap();
-        }
-        let mut got = Vec::new();
-        for i in 0..20u64 {
-            let now = Time::from_us(125 * i);
-            let f = a.frame_tick_instrumented(now, tracer);
-            b.receive_line_octets_instrumented(&f, now, tracer);
-            while let Some(p) = b.poll_rx() {
-                got.push(p);
-            }
-        }
-        (got, b.interrupts())
-    };
-
-    let plain = run(&mut hni_telemetry::NullTracer);
-    let mut tracer = VecTracer::new();
-    let traced = run(&mut tracer);
-    assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
-    // The recorded stream covers the functional receive boundaries.
-    for stage in [
-        Stage::RxHec,
-        Stage::RxCamLookup,
-        Stage::RxReasmComplete,
-        Stage::CompletionPush,
-        Stage::Isr,
-        Stage::HostDeliver,
-    ] {
-        assert!(
-            tracer.events().iter().any(|e| e.stage == stage),
-            "missing {stage:?} in driver trace"
-        );
-    }
 }
 
 /// An rxsim run that exercises every receive-side frame fate: a lossy,
