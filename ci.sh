@@ -28,7 +28,6 @@ generation         the vctable_churn property checks ABA safety through it
 card               the line-card sync test reads a port through it
 overloaded         R-R1 shape test picks the overloaded rows with it
 rx_config          NicConfig -> rxsim config, for the Nic/rxsim differential oracle
-tx_config          NicConfig -> txsim config, for the same oracle
 send_oam_loopback  the OAM loopback responder DESIGN.md and README document
 queue_len          the switch property test checks per-port cell conservation through it
 '
@@ -109,9 +108,13 @@ cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 echo "==> chaos invariants under pinned seeds"
 HNI_CHAOS_SEEDS="20260806,1991" cargo test -q -p hni-bench --test chaos
 
-echo "==> smoke: examples trace_waterfall / profile_bottleneck, report r-r1"
-cargo run -q -p hni-bench --example trace_waterfall --release > /dev/null
-cargo run -q -p hni-bench --example profile_bottleneck --release > /dev/null
+echo "==> smoke: every example, report bottleneck r-f1, report r-r1"
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    cargo run -q -p hni-bench --example "$name" --release > /dev/null || {
+        echo "example $name failed" >&2; exit 1; }
+done
+cargo run -q -p hni-bench --bin report --release -- bottleneck r-f1 > /dev/null
 cargo run -q -p hni-bench --bin report --release -- r-r1 > /dev/null
 
 echo "==> perf gate: perfbench nic-bulk is correct and delineates inside OC-12's cell time"
@@ -168,14 +171,15 @@ if cargo run -q -p hni-bench --bin report --release -- \
     diff r-f3 r-f1 > /dev/null 2>&1; then
     echo "report diff r-f3 r-f1: schema mismatch must exit non-zero" >&2; exit 1
 fi
-# The always-on reservoir is part of the deterministic contract: the
-# exemplar report must be byte-identical across worker counts.
+# The exemplars are selected from the traced lives by a total order and
+# an identity hash: the report must be byte-identical across worker
+# counts.
 HNI_JOBS=1 cargo run -q -p hni-bench --bin report --release -- \
     exemplars r-f3 > exemplars_j1.txt
 HNI_JOBS=4 cargo run -q -p hni-bench --bin report --release -- \
     exemplars r-f3 > exemplars_j4.txt
 cmp exemplars_j1.txt exemplars_j4.txt || {
-    echo "exemplar reservoir diverged across worker counts" >&2; exit 1; }
+    echo "report exemplars r-f3 diverged across worker counts" >&2; exit 1; }
 rm -f exemplars_j1.txt exemplars_j4.txt
 
 echo "==> sampled trace identical across HNI_JOBS (1-in-1024, pinned seed)"

@@ -57,7 +57,9 @@ impl AalType {
         }
     }
 
-    /// Number of cells needed to carry an SDU of `len` octets.
+    /// Number of cells needed to carry an SDU of `len` octets. Never
+    /// zero: an empty SDU still takes one cell for the AAL5 trailer or
+    /// the AAL3/4 CPCS envelope.
     pub fn cells_for_sdu(self, len: usize) -> usize {
         match self {
             // Payload + 8-octet trailer, padded to a multiple of 48.
@@ -173,6 +175,8 @@ mod tests {
 
     #[test]
     fn cells_for_sdu_aal5_boundaries() {
+        // An empty SDU still carries the 8-octet trailer → 1 cell.
+        assert_eq!(AalType::Aal5.cells_for_sdu(0), 1);
         // 40 data + 8 trailer = 48 → exactly 1 cell.
         assert_eq!(AalType::Aal5.cells_for_sdu(40), 1);
         // 41 data + 8 trailer = 49 → 2 cells.
@@ -185,6 +189,8 @@ mod tests {
 
     #[test]
     fn cells_for_sdu_aal34() {
+        // Empty: CPCS = 4 header + 4 trailer = 8 → 1 cell.
+        assert_eq!(AalType::Aal34.cells_for_sdu(0), 1);
         // 36 data: CPCS = 4 + 36 + 0 pad + 4 = 44 → 1 cell (SSM).
         assert_eq!(AalType::Aal34.cells_for_sdu(36), 1);
         // 37 data: CPCS = 4 + 37 + 3 + 4 = 48 → 2 cells.

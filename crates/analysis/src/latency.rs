@@ -77,7 +77,7 @@ pub fn unloaded_latency(
     propagation: Duration,
 ) -> LatencyBreakdown {
     let e = ProtocolEngine::new(mips, partition);
-    let cells = aal.cells_for_sdu(len).max(1);
+    let cells = aal.cells_for_sdu(len);
 
     let tx_setup = e.task_time(TaskKind::TxPacketSetup);
     let tx_first_burst = if len == 0 {

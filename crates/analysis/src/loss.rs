@@ -35,7 +35,7 @@ pub struct LossPoint {
 /// `aal` over `rate`, offered at full payload load.
 pub fn goodput_under_loss(rate: LineRate, aal: AalType, len: usize, loss: f64) -> LossPoint {
     assert!((0.0..=1.0).contains(&loss));
-    let cells = aal.cells_for_sdu(len).max(1);
+    let cells = aal.cells_for_sdu(len);
     let survival = (1.0 - loss).powi(cells as i32);
     // Offered cells occupy payload slots; goodput counts only SDU bits
     // of surviving frames.

@@ -50,7 +50,7 @@ fn predict(
     rate: LineRate,
     aal: AalType,
 ) -> ThroughputPrediction {
-    let cells = aal.cells_for_sdu(len).max(1);
+    let cells = aal.cells_for_sdu(len);
     let bursts = if len == 0 { 0 } else { bus.bursts_for(len) };
 
     // Engine seconds per packet.
@@ -302,7 +302,7 @@ pub fn predict_tx_with_bubble(
 ) -> f64 {
     use hni_core::engine::{ProtocolEngine, TaskKind};
     let e = ProtocolEngine::new(mips, partition);
-    let cells = aal.cells_for_sdu(len).max(1);
+    let cells = aal.cells_for_sdu(len);
     let bursts = if len == 0 { 0 } else { bus.bursts_for(len) };
 
     let t_setup = e.task_time(TaskKind::TxPacketSetup).as_s_f64();

@@ -23,8 +23,8 @@ pub const PROPAGATION: Duration = Duration::from_us(5);
 pub const TRACE_LEN: usize = 9180;
 
 /// Capture the full event trace of one unloaded end-to-end run — the
-/// raw material the waterfall reducer turns back into this experiment's
-/// per-stage breakdown.
+/// raw material `hni_telemetry::PacketSpans` turns back into this
+/// experiment's per-stage breakdown.
 pub fn trace_run(len: usize) -> Vec<TraceEvent> {
     let mut tracer = VecTracer::new();
     run_e2e_full(
@@ -163,9 +163,12 @@ mod tests {
 
     #[test]
     fn waterfall_reproduces_breakdown_within_tolerance() {
-        use hni_telemetry::Waterfall;
         let events = trace_run(TRACE_LEN);
-        let w = Waterfall::from_events(&events, 0).expect("packet 0 fully traced");
+        let spans = hni_telemetry::PacketSpans::from_events(&events);
+        let life = spans.life(0).expect("packet 0 traced");
+        assert!(life.is_complete(), "packet 0 fully traced");
+        let stages = life.breakdown();
+        let total = life.total().expect("complete life has a total");
         let b = unloaded_latency(
             TRACE_LEN,
             &HwPartition::paper_split(),
@@ -177,7 +180,7 @@ mod tests {
         );
         // The trace-derived total must sit within the same tolerance the
         // e2e simulation itself is held to against the analytic total.
-        let measured = w.total.as_us_f64();
+        let measured = total.as_us_f64();
         let analytic = b.total.as_us_f64();
         let rel = (measured - analytic).abs() / analytic;
         assert!(
@@ -186,7 +189,10 @@ mod tests {
         );
         // Stage-level spot checks: propagation is exact by construction,
         // serialization is the dominant term and must match closely.
-        let stage_us = |label: &str| w.stage(label).expect(label).as_us_f64();
+        let stage_us = |label: &str| {
+            let stage = stages.iter().find(|s| s.label == label).expect(label);
+            stage.total().as_us_f64()
+        };
         assert!((stage_us("propagate") - b.propagation.as_us_f64()).abs() < 1e-9);
         let ser = stage_us("serialize");
         let ser_analytic = b.serialization.as_us_f64();
@@ -195,7 +201,8 @@ mod tests {
             "serialize {ser} vs analytic {ser_analytic}"
         );
         // And the telescoping invariant: the stages sum to the total.
-        assert_eq!(w.stage_sum(), w.total);
+        let sum = stages.iter().fold(Duration::ZERO, |a, s| a + s.total());
+        assert_eq!(sum, total);
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn cfg_with(policy: DiscardPolicy) -> RxConfig {
 /// ends in the same burst — a pattern no admission policy can regulate,
 /// because occupancy at every admission instant is unrepresentative).
 fn staggered(n_vcs: usize, pkts_per_vc: usize, len: usize, load: f64) -> RxWorkload {
-    let cells_per_pkt = AalType::Aal5.cells_for_sdu(len).max(1);
+    let cells_per_pkt = AalType::Aal5.cells_for_sdu(len);
     let slot = LineRate::Oc12.cell_slot_time().as_s_f64();
     let per_vc = Duration::from_s_f64(slot * n_vcs as f64 / load);
     let frame_span = slot * cells_per_pkt as f64 / load;

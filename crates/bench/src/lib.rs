@@ -25,6 +25,7 @@ pub use table::Table;
 use experiments::*;
 use hni_core::{CellLedger, E2eReport, RxReport, TxReport};
 use hni_sim::{Histogram, Time};
+use hni_telemetry::sampler::mix64;
 use hni_telemetry::{
     CycleProfiler, NullProfiler, NullTracer, Profile, Profiler, TraceEvent, Tracer, VcMetrics,
     VecTracer,
@@ -444,58 +445,107 @@ pub fn tail_report(id: &str) -> Option<String> {
     ))
 }
 
-/// Tail exemplar report: the always-on reservoir's slowest-N packets
-/// with their full span breakdowns, plus the deterministic p99+
-/// cohort sample (`report exemplars <id>`).
+/// One completed traced life as `report exemplars` ranks it. The
+/// derived order is latency first, then the identity `(vc, pkt)`: a
+/// total order, so a selection by it is independent of trace order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Exemplar {
+    latency_ps: u64,
+    /// VC key on the transmit side.
+    vc: u32,
+    pkt: u32,
+    /// Completion clock, ps.
+    done_ps: u64,
+}
+
+/// How many of the slowest lives `report exemplars` names.
+const EXEMPLARS_SLOWEST: usize = 8;
+/// Its identity sample keeps one packet identity in this many.
+const EXEMPLARS_ONE_IN: u64 = 8;
+/// Its p99+ cohort is carved from this many of the sample's slowest.
+const EXEMPLARS_SAMPLED: usize = 16;
+
+/// Every completed life in a span index, slowest first.
+fn ranked_lives(spans: &hni_telemetry::PacketSpans) -> Vec<Exemplar> {
+    let mut ranked: Vec<Exemplar> = spans
+        .packets()
+        .filter_map(|pkt| {
+            let life = spans.life(pkt).filter(|l| l.is_complete())?;
+            Some(Exemplar {
+                latency_ps: life.total()?.as_ps(),
+                vc: life.vc,
+                pkt,
+                done_ps: life.complete_exit?.as_ps(),
+            })
+        })
+        .collect();
+    ranked.sort_unstable_by(|a, b| b.cmp(a));
+    ranked
+}
+
+/// The p99+ cohort of ranked lives: those among the slowest
+/// [`EXEMPLARS_SAMPLED`] of the identity sample whose latency reaches
+/// `threshold_ps`, slowest first. Sample membership is a seeded hash of
+/// a life's `(vc, pkt)` alone, so it is the same on every rerun and
+/// worker count, like the sampled trace's.
+fn sampled_cohort(ranked: &[Exemplar], threshold_ps: u64) -> impl Iterator<Item = &Exemplar> {
+    ranked
+        .iter()
+        .filter(|e| {
+            let id = (e.vc as u64) << 32 | e.pkt as u64;
+            mix64(0x5eed_1991 ^ mix64(id)).is_multiple_of(EXEMPLARS_ONE_IN)
+        })
+        .take(EXEMPLARS_SAMPLED)
+        .filter(move |e| e.latency_ps >= threshold_ps)
+}
+
+/// Tail exemplar report: the slowest traced lives of an experiment's
+/// canonical run with their full span breakdowns, plus the p99+ cohort
+/// of a deterministic identity sample (`report exemplars <id>`).
 pub fn exemplars_report(id: &str) -> Option<String> {
     let mut tracer = VecTracer::new();
     let (title, run) = canonical(id, "exemplars", &mut tracer, &mut NullProfiler)?;
-    // Only end-to-end runs offer exemplars: the reservoir lives there.
+    // Only end-to-end runs trace whole lives.
     let Run::E2e(report) = run else { return None };
     let spans = hni_telemetry::PacketSpans::from_events(tracer.events());
-    let tail = &report.tail;
+    let ranked = ranked_lives(&spans);
+    let slowest = &ranked[..ranked.len().min(EXEMPLARS_SLOWEST)];
     let mut t = Table::new(["rank", "vc key", "pkt", "latency us", "done us"]);
-    let slowest = tail.slowest();
     for (i, e) in slowest.iter().enumerate() {
         t.row([
             (i + 1).to_string(),
             e.vc.to_string(),
             e.pkt.to_string(),
-            format!("{:.3}", e.latency().as_us_f64()),
+            format!("{:.3}", e.latency_ps as f64 / 1e6),
             format!("{:.3}", e.done_ps as f64 / 1e6),
         ]);
     }
     let mut out = format!(
-        "{title} — tail exemplars (always-on reservoir,\n\
-         {} packets offered, identity sample 1-in-{})\n\n{}\n",
-        tail.recorded(),
-        tail.one_in(),
+        "{title} — tail exemplars (traced lives,\n\
+         {} packets offered, identity sample 1-in-{EXEMPLARS_ONE_IN})\n\n{}\n",
+        ranked.len(),
         t.render()
     );
     use std::fmt::Write as _;
-    for e in &slowest {
-        match spans.life(e.pkt).map(|l| l.breakdown()) {
-            Some(b) if !b.is_empty() => {
-                let _ = writeln!(out, "packet {} span breakdown (wait + service us):", e.pkt);
-                for s in &b {
-                    let _ = writeln!(
-                        out,
-                        "  {:<12} {:>10.3} + {:>10.3}",
-                        s.label,
-                        s.wait.as_us_f64(),
-                        s.service.as_us_f64()
-                    );
-                }
-            }
-            _ => {
-                let _ = writeln!(out, "packet {}: no spans indexed (not traced)", e.pkt);
-            }
+    for e in slowest {
+        let _ = writeln!(out, "packet {} span breakdown (wait + service us):", e.pkt);
+        let life = spans.life(e.pkt).expect("ranked from the index");
+        for s in life.breakdown() {
+            let _ = writeln!(
+                out,
+                "  {:<12} {:>10.3} + {:>10.3}",
+                s.label,
+                s.wait.as_us_f64(),
+                s.service.as_us_f64()
+            );
         }
     }
     // The p99+ cohort carved from the identity sample, using the
     // end-to-end histogram's log2-bucket p99 bound as the threshold.
     let p99 = report.latency_hist.quantile(0.99);
-    let cohort = tail.cohort(p99);
+    let cohort: Vec<String> = sampled_cohort(&ranked, p99)
+        .map(|e| format!("pkt {} ({:.3} us)", e.pkt, e.latency_ps as f64 / 1e6))
+        .collect();
     let _ = writeln!(
         out,
         "\np99+ cohort (sampled identities >= histogram p99 bound {:.3} us): {}",
@@ -503,11 +553,7 @@ pub fn exemplars_report(id: &str) -> Option<String> {
         if cohort.is_empty() {
             "none sampled".to_string()
         } else {
-            cohort
-                .iter()
-                .map(|e| format!("pkt {} ({:.3} us)", e.pkt, e.latency().as_us_f64()))
-                .collect::<Vec<_>>()
-                .join(", ")
+            cohort.join(", ")
         }
     );
     Some(out)
@@ -697,6 +743,90 @@ mod tests {
             assert!(out.len() > 100, "{id} output suspiciously short");
             assert!(out.contains(&id.to_uppercase()), "{id} header missing");
         }
+    }
+
+    /// A complete synthetic life of packet `pkt` on transmit key `vc`:
+    /// every stage edge at `start_ns`, completion `latency_ns` later.
+    fn life(vc: u32, pkt: u32, start_ns: u64, latency_ns: u64) -> Vec<TraceEvent> {
+        use hni_telemetry::{Phase, Stage};
+        let ev = |ns: u64, stage, phase| TraceEvent {
+            time: Time::from_ns(ns),
+            stage,
+            phase,
+            vc,
+            pkt,
+            cell: hni_telemetry::NO_ID,
+            arg: 0,
+        };
+        let mut events: Vec<TraceEvent> = [
+            (Stage::TxDescriptor, Phase::Instant),
+            (Stage::TxSetup, Phase::Exit),
+            (Stage::TxSegment, Phase::Exit),
+            (Stage::TxFramer, Phase::Instant),
+            (Stage::RxCellArrive, Phase::Instant),
+            (Stage::RxCell, Phase::Exit),
+            (Stage::RxValidate, Phase::Exit),
+        ]
+        .into_iter()
+        .map(|(stage, phase)| ev(start_ns, stage, phase))
+        .collect();
+        events.push(ev(start_ns + latency_ns, Stage::RxComplete, Phase::Exit));
+        events
+    }
+
+    /// The exemplar selection is a total order over completed lives —
+    /// equal latencies rank by `(vc, pkt)` — its identity sample keeps
+    /// the same packets whatever their latencies or trace order, and
+    /// the cohort is the part of the sample at or above the threshold.
+    #[test]
+    fn exemplars_rank_by_identity_on_ties_and_sample_by_identity() {
+        let ranked = |lives: &[(u32, u32, u64)]| {
+            let events: Vec<TraceEvent> = lives
+                .iter()
+                .flat_map(|&(vc, pkt, lat)| life(vc, pkt, 1_000 * pkt as u64, lat))
+                .collect();
+            ranked_lives(&hni_telemetry::PacketSpans::from_events(&events))
+        };
+        fn ids<'a>(lives: impl IntoIterator<Item = &'a Exemplar>) -> Vec<(u32, u32)> {
+            lives.into_iter().map(|e| (e.vc, e.pkt)).collect()
+        }
+        let ties = [(64, 0, 100), (32, 1, 100), (64, 2, 100), (64, 3, 90)];
+        let mut reversed = ties;
+        reversed.reverse();
+        let expected = [(64, 2), (64, 0), (32, 1), (64, 3)];
+        assert_eq!(ids(&ranked(&ties)), expected);
+        assert_eq!(ids(&ranked(&reversed)), expected);
+        // Same identities, other latencies and trace order: the sample
+        // keeps the same packets.
+        let sample = |lives: &[(u32, u32, u64)]| {
+            let mut kept = ids(sampled_cohort(&ranked(lives), 0));
+            kept.sort_unstable();
+            kept
+        };
+        let rising: Vec<(u32, u32, u64)> = (0..64).map(|p| (32, p, 100 + p as u64)).collect();
+        let scrambled: Vec<(u32, u32, u64)> = (0..64)
+            .rev()
+            .map(|p| (32, p, 100 + (p as u64 * 37) % 64))
+            .collect();
+        let kept = sample(&rising);
+        assert_eq!(kept, sample(&scrambled));
+        // Neither empty nor capped: the hash, not the cap, decided.
+        assert!(
+            !kept.is_empty() && kept.len() < EXEMPLARS_SAMPLED,
+            "1-in-{EXEMPLARS_ONE_IN} of 64 kept {}",
+            kept.len()
+        );
+        // In `rising`, packet p takes 100 + p ns: a 132 ns threshold
+        // keeps the sampled packets from 32 up, slowest first.
+        let cohort = ids(sampled_cohort(&ranked(&rising), 132_000));
+        let above: Vec<_> = kept
+            .iter()
+            .rev()
+            .filter(|&&(_, p)| p >= 32)
+            .copied()
+            .collect();
+        assert!(!above.is_empty() && above.len() < kept.len(), "{kept:?}");
+        assert_eq!(cohort, above);
     }
 
     #[test]

@@ -102,8 +102,6 @@ pub struct Bus {
     rng: Rng,
     next_free: Time,
     busy: Duration,
-    grants: u64,
-    bytes_moved: u64,
     stalls: u64,
     retries: u64,
 }
@@ -124,8 +122,6 @@ impl Bus {
             rng: Rng::new(faults.seed),
             next_free: Time::ZERO,
             busy: Duration::ZERO,
-            grants: 0,
-            bytes_moved: 0,
             stalls: 0,
             retries: 0,
         }
@@ -151,17 +147,9 @@ impl Bus {
         (stall, retry)
     }
 
-    fn commit(&mut self, start: Time, held: Duration, bytes: usize) -> Time {
-        self.next_free = start + held;
-        self.busy += held;
-        self.grants += 1;
-        self.bytes_moved += bytes as u64;
-        self.next_free
-    }
-
-    /// Request the bus at `now` for a burst of `words` data words
-    /// carrying `bytes` payload bytes. Returns when the burst completes
-    /// (including any injected stall or retry).
+    /// Request the bus at `now` for a burst of `words` data words.
+    /// Returns when the burst completes (including any injected stall
+    /// or retry).
     ///
     /// Cycle accounting: the burst's setup and turnaround cycles are
     /// charged as [`Activity::Arbitration`] and its data cycles as
@@ -173,7 +161,6 @@ impl Bus {
         &mut self,
         now: Time,
         words: u32,
-        bytes: usize,
         component: Component,
         profiler: &mut dyn Profiler,
     ) -> Time {
@@ -204,20 +191,14 @@ impl Bus {
                 cursor += burst;
             }
         }
-        self.commit(start, held, bytes)
+        self.next_free = start + held;
+        self.busy += held;
+        self.next_free
     }
 
     /// Total time the bus has been occupied.
     pub fn busy_time(&self) -> Duration {
         self.busy
-    }
-    /// Bursts granted.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-    /// Payload bytes moved.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
     }
     /// Grants that suffered an injected arbitration stall.
     pub fn stalls(&self) -> u64 {
@@ -310,12 +291,10 @@ mod tests {
     #[test]
     fn bus_serializes_fcfs() {
         let mut bus = Bus::new(BusConfig::default());
-        let end1 = bus.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler); // 600 ns
-        let end2 = bus.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler); // queued behind
+        let end1 = bus.grant(Time::ZERO, 8, Component::TxBus, &mut NullProfiler); // 600 ns
+        let end2 = bus.grant(Time::ZERO, 8, Component::TxBus, &mut NullProfiler); // queued behind
         assert_eq!(end1, Time::from_ns(600));
         assert_eq!(end2, Time::from_ns(1200));
-        assert_eq!(bus.grants(), 2);
-        assert_eq!(bus.bytes_moved(), 64);
         assert_eq!(bus.busy_time(), Duration::from_ns(1200));
     }
 
@@ -326,8 +305,8 @@ mod tests {
         let mut plain = Bus::new(BusConfig::default());
         let mut profiled = Bus::new(BusConfig::default());
         let mut prof = CycleProfiler::new();
-        let e1 = plain.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler);
-        let e2 = profiled.grant(Time::ZERO, 8, 32, Component::TxBus, &mut prof);
+        let e1 = plain.grant(Time::ZERO, 8, Component::TxBus, &mut NullProfiler);
+        let e2 = profiled.grant(Time::ZERO, 8, Component::TxBus, &mut prof);
         assert_eq!(e1, e2);
         assert_eq!(plain.busy_time(), profiled.busy_time());
         let p = prof.snapshot(e2);
@@ -350,10 +329,10 @@ mod tests {
 
         let mut bus = Bus::new(BusConfig::default());
         let mut prof = CycleProfiler::with_window(Duration::from_ns(600));
-        bus.grant(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
+        bus.grant(Time::ZERO, 8, Component::RxBus, &mut prof);
         // Requested at 0 but queued behind the first burst: charges must
         // land in [600, 1200) ns, i.e. the second 600 ns window.
-        bus.grant(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
+        bus.grant(Time::ZERO, 8, Component::RxBus, &mut prof);
         let p = prof.snapshot(Time::from_ns(1200));
         let s = p.series(Component::RxBus);
         assert_eq!(s.busy(0), Duration::from_ns(600));
@@ -364,7 +343,7 @@ mod tests {
     fn fault_free_bus_draws_no_randomness() {
         let mut bus = Bus::new(BusConfig::default());
         for _ in 0..1000 {
-            bus.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler);
+            bus.grant(Time::ZERO, 8, Component::TxBus, &mut NullProfiler);
         }
         assert_eq!(bus.fault_rng_draws(), 0);
         assert_eq!(bus.stalls() + bus.retries(), 0);
@@ -376,8 +355,8 @@ mod tests {
         let mut faulty = Bus::with_faults(BusConfig::default(), BusFaultPlan::NONE);
         for i in 0..100u64 {
             let now = Time::from_ns(i * 50);
-            let a = plain.grant(now, 8, 32, Component::TxBus, &mut NullProfiler);
-            let b = faulty.grant(now, 8, 32, Component::TxBus, &mut NullProfiler);
+            let a = plain.grant(now, 8, Component::TxBus, &mut NullProfiler);
+            let b = faulty.grant(now, 8, Component::TxBus, &mut NullProfiler);
             assert_eq!(a, b);
         }
         assert_eq!(plain.busy_time(), faulty.busy_time());
@@ -393,7 +372,7 @@ mod tests {
         };
         let mut bus = Bus::with_faults(BusConfig::default(), plan);
         // 15 burst cycles + 10 stall cycles = 25 × 40 ns.
-        let end = bus.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler);
+        let end = bus.grant(Time::ZERO, 8, Component::TxBus, &mut NullProfiler);
         assert_eq!(end, Time::from_ns(1000));
         assert_eq!(bus.stalls(), 1);
     }
@@ -407,7 +386,7 @@ mod tests {
             seed: 5,
         };
         let mut bus = Bus::with_faults(BusConfig::default(), plan);
-        let end = bus.grant(Time::ZERO, 8, 32, Component::TxBus, &mut NullProfiler);
+        let end = bus.grant(Time::ZERO, 8, Component::TxBus, &mut NullProfiler);
         assert_eq!(end, Time::from_ns(1200), "burst runs twice");
         assert_eq!(bus.retries(), 1);
         assert_eq!(bus.busy_time(), Duration::from_ns(1200));
@@ -431,7 +410,7 @@ mod tests {
                 &mut NullProfiler
             };
             (0..200u64)
-                .map(|i| bus.grant(Time::from_ns(i * 2000), 8, 32, Component::RxBus, probe))
+                .map(|i| bus.grant(Time::from_ns(i * 2000), 8, Component::RxBus, probe))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(false), run(false), "not deterministic");
@@ -450,7 +429,7 @@ mod tests {
         };
         let mut bus = Bus::with_faults(BusConfig::default(), plan);
         let mut prof = CycleProfiler::new();
-        let end = bus.grant(Time::ZERO, 8, 32, Component::RxBus, &mut prof);
+        let end = bus.grant(Time::ZERO, 8, Component::RxBus, &mut prof);
         let p = prof.snapshot(end);
         assert_eq!(p.active_time(Component::RxBus), bus.busy_time());
         // Two data phases of 8 cycles each.
@@ -464,7 +443,7 @@ mod tests {
     fn idle_gap_not_counted_busy() {
         let mut bus = Bus::new(BusConfig::default());
         for now in [Time::ZERO, Time::from_us(10)] {
-            bus.grant(now, 8, 32, Component::TxBus, &mut NullProfiler);
+            bus.grant(now, 8, Component::TxBus, &mut NullProfiler);
         }
         assert_eq!(bus.busy_time(), Duration::from_ns(1200));
         let util = bus.utilization(Time::from_us(10) + Duration::from_ns(600));

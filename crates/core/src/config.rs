@@ -1,38 +1,19 @@
-//! The single configuration type the whole interface hangs off.
+//! The single configuration type the functional data path hangs off.
 
-use crate::bufpool::{DiscardPolicy, PoolConfig};
-use crate::bus::BusConfig;
-use crate::engine::HwPartition;
 use crate::rxsim::RxConfig;
-use crate::txsim::TxConfig;
 use hni_aal::AalType;
-use hni_sim::{BusFaultPlan, Duration, FaultPlan};
+use hni_sim::Duration;
 use hni_sonet::LineRate;
 
-/// Full host-interface configuration: one struct feeds the timing
-/// simulations ([`crate::txsim`], [`crate::rxsim`]) and the functional
-/// data path ([`crate::nic`]).
+/// Host-interface configuration of the functional data path
+/// ([`crate::nic`]). [`NicConfig::rx_config`] derives the receive
+/// timing simulation's view of the same interface.
 #[derive(Clone, Debug)]
 pub struct NicConfig {
     /// SONET line rate.
     pub rate: LineRate,
-    /// Protocol engine speed, MIPS (per direction — the architecture
-    /// provisions one engine each way).
-    pub mips: f64,
-    /// Hardware-assist partition.
-    pub partition: HwPartition,
-    /// Host bus parameters.
-    pub bus: BusConfig,
-    /// Transmit output FIFO, in cells.
-    pub tx_fifo_cells: usize,
-    /// Receive input FIFO, in cells.
-    pub rx_fifo_cells: usize,
-    /// Receive reassembly buffer pool.
-    pub pool: PoolConfig,
     /// Adaptation layer for user VCs.
     pub aal: AalType,
-    /// Per-VC GCRA pacing on transmit.
-    pub pacing: bool,
     /// CAM capacity (simultaneous open VCs).
     pub cam_capacity: usize,
     /// Largest SDU accepted.
@@ -46,51 +27,20 @@ impl NicConfig {
     pub fn paper(rate: LineRate) -> Self {
         NicConfig {
             rate,
-            mips: 25.0,
-            partition: HwPartition::paper_split(),
-            bus: BusConfig::default(),
-            tx_fifo_cells: 16,
-            rx_fifo_cells: 16,
-            pool: PoolConfig {
-                total_buffers: 256,
-                cells_per_buffer: 32,
-            },
             aal: AalType::Aal5,
-            pacing: false,
             cam_capacity: 256,
             max_sdu: 65535,
             reassembly_timeout: Duration::from_ms(10),
         }
     }
 
-    /// Derive the transmit-simulation view of this configuration.
-    pub fn tx_config(&self) -> TxConfig {
-        TxConfig {
-            rate: self.rate,
-            mips: self.mips,
-            partition: self.partition,
-            bus: self.bus,
-            fifo_cells: self.tx_fifo_cells,
-            pacing: self.pacing,
-            aal: self.aal,
-        }
-    }
-
-    /// Derive the receive-simulation view of this configuration.
+    /// Derive the receive-simulation view of this configuration: the
+    /// paper's receive adaptor at this rate, AAL and reassembly timeout.
     pub fn rx_config(&self) -> RxConfig {
         RxConfig {
-            rate: self.rate,
-            mips: self.mips,
-            partition: self.partition,
-            bus: self.bus,
-            fifo_cells: self.rx_fifo_cells,
-            pool: self.pool,
             aal: self.aal,
-            policy: DiscardPolicy::DropTail,
             reassembly_timeout: self.reassembly_timeout,
-            bus_faults: BusFaultPlan::NONE,
-            link_faults: FaultPlan::NONE,
-            link_seed: 0,
+            ..RxConfig::paper(self.rate)
         }
     }
 }
@@ -101,9 +51,14 @@ mod tests {
 
     #[test]
     fn derived_views_carry_fields() {
-        let c = NicConfig::paper(LineRate::Oc3);
-        assert_eq!(c.tx_config().fifo_cells, c.tx_fifo_cells);
-        assert_eq!(c.rx_config().pool, c.pool);
-        assert_eq!(c.tx_config().rate, LineRate::Oc3);
+        let c = NicConfig {
+            aal: AalType::Aal34,
+            reassembly_timeout: Duration::from_ms(3),
+            ..NicConfig::paper(LineRate::Oc3)
+        };
+        let rx = c.rx_config();
+        assert_eq!(rx.rate, LineRate::Oc3);
+        assert_eq!(rx.aal, c.aal);
+        assert_eq!(rx.reassembly_timeout, c.reassembly_timeout);
     }
 }

@@ -17,7 +17,7 @@ use crate::rxsim::{run_rx_full, CellArrival, RxConfig, RxPktMeta, RxWorkload};
 use crate::txsim::{run_tx_full, CellDeparture, TxConfig, TxPacket};
 use hni_aal::AalType;
 use hni_sim::{Duration, Histogram, Time};
-use hni_telemetry::{NullProfiler, NullTracer, Profiler, TailReservoir, Tracer};
+use hni_telemetry::{NullProfiler, NullTracer, Profiler, Tracer};
 
 /// End-to-end results.
 #[derive(Clone, Debug)]
@@ -29,10 +29,6 @@ pub struct E2eReport {
     /// Descriptor-at-A → completion-at-B latency, ps: exact count, mean,
     /// min and max, plus the always-on log₂ p50/p90/p99/p999 bands.
     pub latency_hist: Histogram,
-    /// Tail exemplars for the end-to-end latency: slowest packets'
-    /// identities plus a deterministic identity sample. Joins back to
-    /// traces/waterfalls via the packet id (always on, fixed capacity).
-    pub tail: TailReservoir,
     /// End-to-end goodput, bits/s.
     pub goodput_bps: f64,
     /// The transmit-side report.
@@ -152,7 +148,7 @@ fn rx_workload_from_departures(
             RxPktMeta {
                 conn,
                 len: p.len,
-                cells: aal_cells(aal, p.len),
+                cells: aal.cells_for_sdu(p.len),
             }
         })
         .collect();
@@ -175,13 +171,11 @@ fn assemble_report(
     rx_report: crate::rxsim::RxReport,
 ) -> E2eReport {
     let mut latency_hist = Histogram::new();
-    let mut tail = TailReservoir::paper();
     let mut delivered_octets = 0u64;
     for (i, done) in rx_report.completions.iter().enumerate() {
         if let Some(t) = done {
             let lat = t.saturating_since(packets[i].arrival);
             latency_hist.record_duration(lat);
-            tail.record(packets[i].vc.cam_key(), i as u32, lat, *t);
             delivered_octets += packets[i].len as u64;
         }
     }
@@ -191,7 +185,6 @@ fn assemble_report(
         offered: packets.len() as u64,
         delivered: rx_report.delivered_packets,
         latency_hist,
-        tail,
         goodput_bps: if elapsed > 0.0 {
             delivered_octets as f64 * 8.0 / elapsed
         } else {
@@ -200,10 +193,6 @@ fn assemble_report(
         tx: tx_report,
         rx: rx_report,
     }
-}
-
-fn aal_cells(aal: AalType, len: usize) -> usize {
-    aal.cells_for_sdu(len).max(1)
 }
 
 #[cfg(test)]

@@ -18,7 +18,10 @@
 //!   driving `hni-aal` + `hni-sonet` end to end. The integration tests
 //!   and examples run packets through two of these back-to-back.
 //!
-//! One configuration type ([`config::NicConfig`]) feeds both.
+//! [`config::NicConfig`] configures the data path. The simulations take
+//! their own [`txsim::TxConfig`] and [`rxsim::RxConfig`];
+//! [`NicConfig::rx_config`] derives the receive one from a `Nic`'s
+//! settings.
 
 pub mod bufpool;
 pub mod bus;

@@ -162,7 +162,7 @@ impl RxWorkload {
     ) -> Self {
         assert!(n_vcs > 0 && pkts_per_vc > 0);
         assert!(load > 0.0 && load <= 1.0);
-        let cells_per_pkt = aal.cells_for_sdu(len).max(1);
+        let cells_per_pkt = aal.cells_for_sdu(len);
         let mut pkts = Vec::with_capacity(n_vcs * pkts_per_vc);
         // Per-VC cursors: (packet index, cell index within packet).
         let mut streams: Vec<(usize, usize)> = Vec::with_capacity(n_vcs);
@@ -652,14 +652,8 @@ pub fn run_rx_full(
                                 task_q.push_back(RTask::Complete(p));
                             } else if engine.partition.in_hardware(TaskKind::RxDmaBurst) {
                                 d.issued += 1;
-                                let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), 0);
-                                let done = bus.grant(
-                                    now,
-                                    words,
-                                    words as usize * cfg.bus.word_bytes,
-                                    Component::RxBus,
-                                    profiler,
-                                );
+                                let words = cfg.bus.burst_words(wl.pkts[p].len, 0);
+                                let done = bus.grant(now, words, Component::RxBus, profiler);
                                 bursts_in_flight += 1;
                                 q.schedule(done, REv::BusDone(p));
                             } else {
@@ -670,14 +664,8 @@ pub fn run_rx_full(
                     }
                     RTask::Burst(p) => {
                         let bi = dma[p].issued - 1;
-                        let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), bi);
-                        let done = bus.grant(
-                            now,
-                            words,
-                            words as usize * cfg.bus.word_bytes,
-                            Component::RxBus,
-                            profiler,
-                        );
+                        let words = cfg.bus.burst_words(wl.pkts[p].len, bi);
+                        let done = bus.grant(now, words, Component::RxBus, profiler);
                         bursts_in_flight += 1;
                         q.schedule(done, REv::BusDone(p));
                     }
@@ -722,14 +710,8 @@ pub fn run_rx_full(
                     d.issued += 1;
                     if engine.partition.in_hardware(TaskKind::RxDmaBurst) {
                         let bi = d.issued - 1;
-                        let words = cfg.bus.burst_words(wl.pkts[p].len.max(1), bi);
-                        let done = bus.grant(
-                            now,
-                            words,
-                            words as usize * cfg.bus.word_bytes,
-                            Component::RxBus,
-                            profiler,
-                        );
+                        let words = cfg.bus.burst_words(wl.pkts[p].len, bi);
+                        let done = bus.grant(now, words, Component::RxBus, profiler);
                         bursts_in_flight += 1;
                         q.schedule(done, REv::BusDone(p));
                     } else {

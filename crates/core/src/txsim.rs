@@ -413,12 +413,8 @@ pub fn run_tx_full(
                         // Engine part done: burst occupies the bus now.
                         let pkt = ctxs[ci].cur.as_ref().expect("burst without packet");
                         let bi = pkt.bursts_issued - 1;
-                        let words = cfg.bus.burst_words(pkt.len.max(1), bi);
-                        let bytes =
-                            (words as usize * cfg.bus.word_bytes).min(pkt.len.saturating_sub(
-                                bi as usize * cfg.bus.max_burst_words as usize * cfg.bus.word_bytes,
-                            ));
-                        let done = bus.grant(now, words, bytes, Component::TxBus, profiler);
+                        let words = cfg.bus.burst_words(pkt.len, bi);
+                        let done = bus.grant(now, words, Component::TxBus, profiler);
                         bursts_in_flight += 1;
                         q.schedule(done, Ev::BurstDone(ci));
                     }
@@ -642,7 +638,7 @@ fn start_next_packet(
 ) {
     let idx = ctx.waiting.pop_front().expect("caller checked non-empty");
     let p = &packets[idx];
-    let cells_total = cfg.aal.cells_for_sdu(p.len).max(1);
+    let cells_total = cfg.aal.cells_for_sdu(p.len);
     let bursts_total = if p.len == 0 {
         0
     } else {
@@ -689,10 +685,8 @@ fn issue_burst(
     if engine.partition.in_hardware(TaskKind::TxDmaBurst) {
         // Hardware sequencer: straight to the bus.
         let bi = pkt.bursts_issued - 1;
-        let words = cfg.bus.burst_words(pkt.len.max(1), bi);
-        let base = bi as usize * cfg.bus.max_burst_words as usize * cfg.bus.word_bytes;
-        let bytes = (words as usize * cfg.bus.word_bytes).min(pkt.len.saturating_sub(base));
-        let done = bus.grant(now, words, bytes, Component::TxBus, profiler);
+        let words = cfg.bus.burst_words(pkt.len, bi);
+        let done = bus.grant(now, words, Component::TxBus, profiler);
         *bursts_in_flight += 1;
         q.schedule(done, Ev::BurstDone(ci));
     } else {

@@ -18,8 +18,6 @@
 //!   capture.
 //! * [`jsonl`] — a line-per-event JSON export, the interchange format
 //!   `report trace <id>` emits.
-//! * [`waterfall`] — the reducer that rebuilds the R-F3 per-stage
-//!   latency breakdown directly from trace spans.
 //! * [`Profiler`] / [`CycleProfiler`] — cycle accounting: every
 //!   simulated interval charged to a `(Component, Activity)` pair, with
 //!   windowed utilization [`TimeSeries`] and occupancy gauges; the
@@ -54,13 +52,11 @@
 //! regressed":
 //!
 //! * [`spans`] — [`PacketSpans`], the one-pass per-packet span index
-//!   behind the waterfall, splitting every stage into queue-wait vs
-//!   service time; partial lives (dropped packets) stay attributable.
-//! * [`reservoir`] — [`TailReservoir`], the always-on zero-alloc tail
-//!   exemplar reservoir next to the end-to-end report's `latency_hist`:
-//!   slowest-N packet identities plus a deterministic identity sample
-//!   the p99+ cohort is carved from, byte-identical across reruns and
-//!   `HNI_JOBS`.
+//!   that rebuilds the R-F3 per-stage latency breakdown directly from
+//!   trace spans, splitting every stage into queue-wait vs service
+//!   time; partial lives (dropped packets) stay attributable. `report
+//!   exemplars <id>` names the slowest traced lives and a
+//!   deterministic identity sample of them from this index.
 //! * [`tailattr`] — [`attribute_tail`], the cohort critical-path
 //!   attributor: tail vs median cohorts over the span index, stages
 //!   ranked by excess, rendered as a blame table and Prometheus
@@ -72,27 +68,23 @@ pub mod expfmt;
 pub mod json;
 pub mod jsonl;
 pub mod profiler;
-pub mod reservoir;
 pub mod sampler;
 pub mod spans;
 pub mod tailattr;
 pub mod timeseries;
 pub mod topk;
 pub mod tracer;
-pub mod waterfall;
 
 pub use attribution::{attribute, Attribution, ResourceShare};
 pub use event::{Phase, Stage, TraceEvent, NO_ID};
 pub use profiler::{
     Activity, Component, CycleProfiler, GaugeStats, NullProfiler, Profile, Profiler,
 };
-pub use reservoir::{Exemplar, TailReservoir};
 pub use sampler::Sampler;
 pub use spans::{PacketLife, PacketSpans, SpanStage, STAGE_LABELS};
 pub use tailattr::{attribute_tail, StageShare, TailAttribution};
 pub use timeseries::TimeSeries;
 pub use topk::{TopEntry, TopK, VcMetrics, VcShards};
 pub use tracer::{NullTracer, Tracer, VecTracer};
-pub use waterfall::{StageLatency, Waterfall};
 
 pub use hni_sim::{Duration, Time};

@@ -7,7 +7,7 @@
 //! function of the event's identity**, not of arrival order:
 //!
 //! ```text
-//! keep(vc, pkt, cell) = mix(seed ⊕ mix(vc‖pkt) ⊕ mix(cell)) % N == 0
+//! keep(vc, pkt, cell) = mix(seed ⊕ mix((vc‖pkt) ⊕ mix(cell))) % N == 0
 //! ```
 //!
 //! Because no stream position or RNG state is involved, the same cell is
@@ -25,10 +25,10 @@ use crate::event::NO_ID;
 
 /// Fixed 64-bit finalizer (splitmix64) — the same keyed mix everywhere,
 /// so sampling is reproducible across platforms and versions. Shared
-/// with the tail exemplar reservoir, which samples packet identities
-/// under the same guarantee.
+/// with the per-VC shard assignment and with `report exemplars`, which
+/// samples packet identities under the same guarantee.
 #[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

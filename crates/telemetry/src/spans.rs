@@ -1,12 +1,11 @@
 //! `PacketSpans` — the one-pass per-packet span index.
 //!
-//! [`Waterfall::from_events`] answers "why was *this* packet slow" by
-//! rescanning the whole event slice once per stage edge (9+ linear
-//! passes), which is fine for one packet and hopeless for cohort
-//! questions ("why are the p99 packets slow"). This index reduces a
-//! trace stream **once** into per-packet [`PacketLife`] records — every
-//! stage edge the waterfall needs, plus the `Enter` clocks that split
-//! each stage into **queue-wait vs service** time:
+//! The index reduces a trace stream **once** into per-packet
+//! [`PacketLife`] records, so one packet ("why was *this* packet
+//! slow") and a whole cohort ("why are the p99 packets slow") are
+//! answered from the same pass. A life keeps every stage edge of the
+//! R-F3 breakdown, plus the `Enter` clocks that split each stage into
+//! **queue-wait vs service** time:
 //!
 //! ```text
 //! stage total = edge(prev stage end → this stage end)   (telescoping)
@@ -14,18 +13,34 @@
 //! service     = total − wait        (time actually being worked on)
 //! ```
 //!
+//! The stage edges mirror the analytic decomposition in
+//! `hni-analysis::latency`:
+//!
+//! ```text
+//! tx setup       descriptor fetch → setup span exit
+//! tx 1st burst   → first TX DMA burst done
+//! tx 1st cell    → first segmentation span exit
+//! serialize      → last cell handed to the framer
+//! propagate      → last cell arrival at the receiver
+//! rx cell        → last per-cell receive work exit
+//! validate       → validation span exit
+//! deliver dma    → last delivery DMA burst done
+//! complete       → completion span exit
+//! ```
+//!
+//! Each stage starts where the previous one ended, so a complete
+//! life's stages sum *exactly* to its descriptor→completion total.
 //! Stages recorded only as instants (DMA bursts, framer slots, the
 //! propagation edge) have no `Enter`: their whole duration counts as
 //! service. Lives that never complete (lost packets, tracing switched
-//! off mid-flight) still index — the waterfall is `None`, but every
-//! stage whose edges *did* happen remains attributable via
+//! off mid-flight) still index — they have no total, but every stage
+//! whose edges *did* happen remains attributable via
 //! [`PacketLife::breakdown`].
 
 use crate::event::{Phase, Stage, TraceEvent, NO_ID};
-use crate::waterfall::{StageLatency, Waterfall};
 use hni_sim::{Duration, Time};
 
-/// The waterfall's stage labels, in path order.
+/// The breakdown's stage labels, in path order.
 pub const STAGE_LABELS: [&str; 9] = [
     "tx setup",
     "tx 1st burst",
@@ -57,12 +72,15 @@ impl SpanStage {
 }
 
 /// Every edge of one packet's life the trace contained. `first_*`
-/// fields keep the earliest matching event, `last_*` the latest — the
-/// same `find`/`rfind` semantics the per-packet waterfall scan used.
+/// fields keep the earliest matching event, `last_*` the latest.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PacketLife {
     /// First `TxDescriptor` (descriptor fetch / packet arrival).
     pub desc: Option<Time>,
+    /// VC key of that `TxDescriptor`: the transmit side's key (receive
+    /// side events carry the connection index instead). Meaningful
+    /// once `desc` is set.
+    pub vc: u32,
     /// First `TxSetup` `Enter`.
     pub setup_enter: Option<Time>,
     /// First `TxSetup` `Exit`.
@@ -102,7 +120,10 @@ impl PacketLife {
         };
         let last = |slot: &mut Option<Time>| *slot = Some(ev.time);
         match (ev.stage, ev.phase) {
-            (Stage::TxDescriptor, _) => first(&mut self.desc),
+            (Stage::TxDescriptor, _) if self.desc.is_none() => {
+                self.desc = Some(ev.time);
+                self.vc = ev.vc;
+            }
             (Stage::TxSetup, Phase::Enter) => first(&mut self.setup_enter),
             (Stage::TxSetup, Phase::Exit) => first(&mut self.setup_exit),
             (Stage::TxDmaBurst, _) => first(&mut self.first_burst),
@@ -121,10 +142,10 @@ impl PacketLife {
         }
     }
 
-    /// The nine telescoping stage edges, in path order, with the
-    /// fallbacks the waterfall defines (no TX DMA → previous edge; no
-    /// delivery DMA → validate edge). `None` entries are stages whose
-    /// closing edge the trace never contained.
+    /// The nine telescoping stage edges, in path order, with their
+    /// fallbacks (no TX DMA → previous edge; no delivery DMA → validate
+    /// edge). `None` entries are stages whose closing edge the trace
+    /// never contained.
     fn edges(&self) -> [Option<(Time, Option<Time>)>; 9] {
         // (closing edge, Enter clock that splits wait from service).
         let first_burst = self.first_burst.or(self.setup_exit);
@@ -238,30 +259,6 @@ impl PacketSpans {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The R-F3 waterfall of packet `pkt`, or `None` when the trace
-    /// does not contain its full life. Byte-identical to the old
-    /// per-packet scan: same edges, same fallbacks, same labels.
-    pub fn waterfall(&self, pkt: u32) -> Option<Waterfall> {
-        let life = self.life(pkt)?;
-        let desc = life.desc?;
-        let edges = life.edges();
-        let mut stages = Vec::with_capacity(9);
-        let mut prev = desc;
-        for (label, edge) in STAGE_LABELS.iter().zip(edges) {
-            let (end, _) = edge?;
-            stages.push(StageLatency {
-                label,
-                duration: end.saturating_since(prev),
-            });
-            prev = end;
-        }
-        Some(Waterfall {
-            pkt,
-            stages,
-            total: prev.saturating_since(desc),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -302,15 +299,27 @@ mod tests {
         ]
     }
 
+    /// The telescoping total of the stage labelled `label`.
+    fn stage(life: &PacketLife, label: &str) -> Duration {
+        let b = life.breakdown();
+        b.iter().find(|s| s.label == label).expect(label).total()
+    }
+
     #[test]
     fn one_pass_index_matches_waterfall_edges() {
-        let spans = PacketSpans::from_events(&full_life(0, 0));
-        let w = spans.waterfall(0).expect("complete life");
-        assert_eq!(w.total, Duration::from_ns(7_600));
-        assert_eq!(w.stage_sum(), w.total);
-        assert_eq!(w.stage("tx setup"), Some(Duration::from_ns(100)));
-        assert_eq!(w.stage("serialize"), Some(Duration::from_ns(1_400)));
-        assert_eq!(w.stage("propagate"), Some(Duration::from_ns(5_000)));
+        // Receive-side events carry the connection index, not the VC key.
+        let mut ev = full_life(0, 0);
+        for e in ev.iter_mut().filter(|e| e.stage.name().starts_with("rx.")) {
+            e.vc = 3;
+        }
+        let spans = PacketSpans::from_events(&ev);
+        let life = spans.life(0).expect("indexed");
+        assert!(life.is_complete());
+        assert_eq!(life.vc, 64, "the life keeps the transmit side's key");
+        assert_eq!(life.total(), Some(Duration::from_ns(7_600)));
+        assert_eq!(stage(life, "tx setup"), Duration::from_ns(100));
+        assert_eq!(stage(life, "serialize"), Duration::from_ns(1_400));
+        assert_eq!(stage(life, "propagate"), Duration::from_ns(5_000));
     }
 
     #[test]
@@ -350,7 +359,6 @@ mod tests {
             )
         });
         let spans = PacketSpans::from_events(&ev);
-        assert!(spans.waterfall(0).is_none(), "incomplete life");
         let life = spans.life(0).expect("partial life still indexed");
         assert!(!life.is_complete());
         assert!(life.total().is_none());
@@ -367,17 +375,20 @@ mod tests {
     #[test]
     fn zero_length_packet_falls_back_to_setup_edge() {
         // No TxDmaBurst: "tx 1st burst" must collapse onto the setup
-        // edge (zero duration), exactly like the old waterfall scan.
+        // edge (zero duration).
         let ev: Vec<TraceEvent> = full_life(0, 0)
             .into_iter()
             .filter(|e| e.stage != Stage::TxDmaBurst)
             .collect();
         let spans = PacketSpans::from_events(&ev);
-        let w = spans.waterfall(0).expect("still complete");
-        assert_eq!(w.stage("tx 1st burst"), Some(Duration::ZERO));
-        assert_eq!(w.stage_sum(), w.total);
-        let b = spans.life(0).unwrap().breakdown();
-        assert_eq!(b[1].total(), Duration::ZERO);
+        let life = spans.life(0).unwrap();
+        assert!(life.is_complete(), "still complete");
+        assert_eq!(stage(life, "tx 1st burst"), Duration::ZERO);
+        let sum = life
+            .breakdown()
+            .iter()
+            .fold(Duration::ZERO, |a, s| a + s.total());
+        assert_eq!(Some(sum), life.total());
     }
 
     #[test]
@@ -390,8 +401,8 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans.packets().collect::<Vec<_>>(), vec![0, 3]);
         assert!(spans.life(1).is_none());
-        assert!(spans.waterfall(3).is_some());
-        assert!(spans.waterfall(7).is_none());
+        assert!(spans.life(3).is_some_and(PacketLife::is_complete));
+        assert!(spans.life(7).is_none());
         assert!(!spans.is_empty());
         assert!(PacketSpans::from_events(&[]).is_empty());
     }

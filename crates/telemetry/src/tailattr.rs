@@ -1,6 +1,7 @@
 //! Cohort critical-path attribution: *why* is the tail slow?
 //!
-//! The histogram says p99 regressed; the waterfall explains one packet.
+//! The histogram says p99 regressed; one packet's span breakdown
+//! explains that packet.
 //! This module closes the gap between them. From a [`PacketSpans`]
 //! index it forms two cohorts of completed packets —
 //!
@@ -18,8 +19,9 @@
 //! Cohorts here are exact order statistics over retained totals — not
 //! `Histogram` buckets, whose log2 quantization can misplace packets
 //! near a cohort edge by up to 2×. The histogram threshold is only
-//! used when carving cohorts out of the *reservoir* (see
-//! `TailReservoir::cohort`), where exact totals are gone.
+//! used by `report exemplars`, whose p99+ cohort is the part of a
+//! deterministic identity sample at or above the end-to-end
+//! histogram's p99 bound.
 
 use crate::spans::{PacketSpans, STAGE_LABELS};
 use hni_sim::Duration;

@@ -23,23 +23,14 @@
 //! construction, and `merge`-able in the weaker heavy-hitter sense
 //! (counts add; error bounds add conservatively).
 
+use crate::sampler::mix64;
+
 /// Number of counter shards in [`VcShards`]. Power of two so the mix
 /// reduces with a mask.
 pub const VC_SHARDS: usize = 64;
 
 /// Default number of heavy-hitter slots tracked by the pipeline.
 pub const DEFAULT_TOP_K: usize = 16;
-
-/// Fixed integer mix (splitmix64 finalizer) so shard assignment is
-/// uniform-ish in the low bits even for sequential VC ids, yet fully
-/// deterministic across runs and platforms.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Exact total-volume accounting sharded across [`VC_SHARDS`] buckets.
 #[derive(Clone, Debug)]
@@ -63,7 +54,8 @@ impl VcShards {
         }
     }
 
-    /// Shard index for a VC id (deterministic, mask of a fixed mix).
+    /// Shard index for a VC id: a mask of the splitmix64 finalizer, so
+    /// sequential VC ids spread across shards, deterministically.
     #[inline]
     pub fn shard_of(vc: u32) -> usize {
         (mix64(vc as u64) & (VC_SHARDS as u64 - 1)) as usize

@@ -2,14 +2,13 @@
 //!
 //! A thread-filtered counting global allocator (the workspace's
 //! `tests/support/alloc_counter.rs`) wraps `System`; the tests assert
-//! that recording through a `NullTracer`, charging through a
-//! `NullProfiler` and recording into the tail reservoir perform zero
-//! heap allocations, which is what makes it safe to leave
-//! instrumentation in the per-cell steady-state path.
+//! that recording through a `NullTracer` and charging through a
+//! `NullProfiler` perform zero heap allocations, which is what makes it
+//! safe to leave instrumentation in the per-cell steady-state path.
 
 use hni_telemetry::{
-    Activity, Component, Duration, NullProfiler, NullTracer, Profiler, Stage, TailReservoir, Time,
-    TraceEvent, Tracer,
+    Activity, Component, Duration, NullProfiler, NullTracer, Profiler, Stage, Time, TraceEvent,
+    Tracer,
 };
 
 #[path = "../../../tests/support/alloc_counter.rs"]
@@ -54,23 +53,4 @@ fn null_profiler_charges_without_allocating() {
         }
     });
     assert_eq!(n, 0, "NullProfiler hot path allocated {n} times");
-}
-
-#[test]
-fn tail_reservoir_records_without_allocating() {
-    // The always-on exemplar reservoir rides every packet completion,
-    // so its record path must be as clean as the tracers': both internal
-    // sets are preallocated to capacity and replacement is in place.
-    // (Reading the exemplars back — slowest()/sampled() — sorts into a
-    // fresh Vec and is allowed to allocate; it runs once per report.)
-    let mut tail = TailReservoir::paper();
-    let (_, n) = allocs_during(|| {
-        for i in 0..100_000u64 {
-            let lat = Duration::from_ns(1_000 + (i * 7919) % 50_000);
-            tail.record(64, i as u32, lat, Time::from_ns(i) + lat);
-        }
-    });
-    assert_eq!(n, 0, "TailReservoir record path allocated {n} times");
-    assert_eq!(tail.recorded(), 100_000);
-    assert!(!tail.slowest().is_empty() && !tail.sampled().is_empty());
 }

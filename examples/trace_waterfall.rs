@@ -14,7 +14,7 @@
 //!    `report trace <id>` emits.
 
 use hni_bench::experiments::rf3_latency;
-use hni_telemetry::{jsonl, Waterfall};
+use hni_telemetry::{jsonl, Duration, PacketSpans};
 
 fn main() {
     let len: usize = std::env::args()
@@ -28,12 +28,21 @@ fn main() {
         events.len()
     );
 
-    let w = Waterfall::from_events(&events, 0).expect("packet 0 fully traced");
-    println!("{}", w.render());
+    let spans = PacketSpans::from_events(&events);
+    let life = spans.life(0).filter(|l| l.is_complete());
+    let life = life.expect("packet 0 fully traced");
+    let total = life.total().expect("complete life has a total");
+    let mut sum = Duration::ZERO;
+    println!("latency waterfall, packet 0");
+    for s in life.breakdown() {
+        println!("  {:<12} {:>10.3} us", s.label, s.total().as_us_f64());
+        sum += s.total();
+    }
+    println!("  {:<12} {:>10.3} us\n", "TOTAL", total.as_us_f64());
     println!(
         "stage sum {:.2} µs = total {:.2} µs (telescoping edges)\n",
-        w.stage_sum().as_us_f64(),
-        w.total.as_us_f64()
+        sum.as_us_f64(),
+        total.as_us_f64()
     );
 
     println!("first 5 events as JSONL (`report trace <id>` emits a full stream):");

@@ -55,8 +55,8 @@ fn faultless_bus_never_touches_the_rng() {
     let mut gated = Bus::with_faults(cfg, BusFaultPlan::NONE);
     let mut now = Time::ZERO;
     for i in 0..2_000u32 {
-        let a = plain.grant(now, 32, 128, Component::RxBus, &mut NullProfiler);
-        let b = gated.grant(now, 32, 128, Component::RxBus, &mut NullProfiler);
+        let a = plain.grant(now, 32, Component::RxBus, &mut NullProfiler);
+        let b = gated.grant(now, 32, Component::RxBus, &mut NullProfiler);
         assert_eq!(a, b, "grant {i} diverged");
         now = a;
     }

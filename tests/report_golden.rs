@@ -101,7 +101,7 @@ const CAPABILITY_DIGESTS: [(&str, u64); 32] = [
     ("topvc r-w1", 0xc525e734541e4042),
     // Header line only, as for topvc.
     ("tail r-f3", 0x96f299c55a4fcc7e),
-    ("exemplars r-f3", 0xd0062ec6ff914bae),
+    ("exemplars r-f3", 0x47cbe18d639ce9f0),
     ("diff r-f3 r-f3", 0x169dff89503aaf52),
 ];
 

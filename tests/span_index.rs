@@ -1,9 +1,9 @@
-//! The span index and exemplar reservoir under adversity: link fault
-//! plans duplicate, drop and reorder cells between the two adaptors,
-//! and the tail-anatomy layer must stay coherent — duplicated cells
-//! must not corrupt a packet's stage edges, lost packets must leave
-//! attributable partial spans rather than poisoning the index, and the
-//! always-on reservoir must keep naming the histogram's exact maximum.
+//! The span index under adversity: link fault plans duplicate, drop
+//! and reorder cells between the two adaptors, and the tail-anatomy
+//! layer must stay coherent — duplicated cells must not corrupt a
+//! packet's stage edges, lost packets must leave attributable partial
+//! spans rather than poisoning the index, and the slowest traced life
+//! must carry the histogram's exact maximum.
 
 use hni_atm::VcId;
 use hni_core::e2esim::run_e2e_full;
@@ -70,8 +70,6 @@ fn duplicated_cells_keep_every_span_telescoping() {
             .map(|s| s.total())
             .fold(Duration::ZERO, |a, b| a + b);
         assert_eq!(sum, total, "pkt {p}: stages must telescope to total");
-        let w = spans.waterfall(p).expect("complete life renders");
-        assert_eq!(w.total, total);
     }
     // Duplicates alone kill no SDU whose extra copy lands as an error
     // cell *after* reassembly already completed — but copies landing
@@ -81,9 +79,9 @@ fn duplicated_cells_keep_every_span_telescoping() {
 }
 
 /// Heavy loss: some packets never complete. Their lives must stay in
-/// the index with attributable transmit-side spans (the waterfall
-/// refuses to render, but the breakdown names the stages that did run)
-/// and the cohort attributor must simply exclude them.
+/// the index with attributable transmit-side spans (they have no
+/// total, but the breakdown names the stages that did run) and the
+/// cohort attributor must simply exclude them.
 #[test]
 fn lost_packets_leave_partial_but_attributable_spans() {
     let plan = FaultPlan::loss(0.05);
@@ -109,8 +107,7 @@ fn lost_packets_leave_partial_but_attributable_spans() {
     );
     for &p in &incomplete {
         let life = spans.life(p).unwrap();
-        assert!(spans.waterfall(p).is_none(), "pkt {p} must not render");
-        assert!(life.total().is_none());
+        assert!(life.total().is_none(), "pkt {p} must have no total");
         // The transmit side ran to the wire regardless of what the link
         // did, so the partial breakdown reaches at least serialization.
         let stages = life.breakdown();
@@ -128,9 +125,9 @@ fn lost_packets_leave_partial_but_attributable_spans() {
     }
 }
 
-/// The reservoir rides inside the report: its slowest exemplar must
-/// name the exact packet behind the histogram's exact max, under faults
-/// and cleanly, and byte-identically across reruns.
+/// The slowest traced life must carry the histogram's exact max, tying
+/// the span index and the report's histogram to one measurement, and
+/// must be the same packet on a rerun.
 #[test]
 fn reservoir_names_the_histogram_max_and_reruns_identically() {
     let run = || {
@@ -143,30 +140,20 @@ fn reservoir_names_the_histogram_max_and_reruns_identically() {
             &mut tracer,
             &mut NullProfiler,
         );
-        (r, tracer.into_events())
+        let spans = PacketSpans::from_events(&tracer.into_events());
+        let slowest = spans
+            .packets()
+            .filter_map(|p| Some((spans.life(p)?.total()?.as_ps(), p)))
+            .max();
+        (r.latency_hist.pcts().max, slowest)
     };
-    let (a, events) = run();
-    let (b, _) = run();
-    assert_eq!(a.tail.slowest(), b.tail.slowest(), "reservoir not stable");
-    assert_eq!(a.tail.sampled(), b.tail.sampled());
-    let slowest = a.tail.slowest();
+    let (max, slowest) = run();
     assert_eq!(
-        slowest.first().map(|e| e.latency_ps),
-        Some(a.latency_hist.pcts().max),
-        "slowest exemplar must carry the histogram's exact max"
+        slowest.map(|(latency_ps, _)| latency_ps),
+        Some(max),
+        "slowest traced life must carry the histogram's exact max"
     );
-    // And the exemplar's identity resolves back through the span index
-    // to the same latency, tying reservoir, histogram and spans to one
-    // measurement.
-    let spans = PacketSpans::from_events(&events);
-    let top = slowest[0];
-    let life = spans.life(top.pkt).expect("exemplar is indexed");
-    assert_eq!(
-        life.total().map(|d| d.as_ps()),
-        Some(top.latency_ps),
-        "span total disagrees with reservoir for pkt {}",
-        top.pkt
-    );
+    assert_eq!(run().1, slowest, "slowest life not stable across reruns");
 }
 
 /// Zero-length SDUs through the real faulted path: the span index's
@@ -195,9 +182,10 @@ fn zero_length_packets_survive_the_faulted_path() {
     assert_eq!(lf.dropped, 0, "duplication-only plan must not drop");
     let spans = PacketSpans::from_events(&tracer.into_events());
     for p in spans.packets() {
-        if let Some(w) = spans.waterfall(p) {
-            assert!(w.total >= Duration::ZERO);
-            assert!(!w.stages.is_empty());
+        let life = spans.life(p).unwrap();
+        if life.is_complete() {
+            assert!(life.total().is_some());
+            assert!(!life.breakdown().is_empty());
         }
     }
     assert!(
