@@ -9,7 +9,8 @@ cargo fmt --check
 
 echo "==> reach: no public item in crates/*/src is named only at its definition"
 # A name-level census. The corpus is crates/*/src, examples/ and
-# benchmark/src, each file up to its first #[cfg(test)] and without //
+# benchmark/src, each file up to its first #[cfg(test)] (or its
+# file-level #![cfg(test)]) and without //
 # comments or `pub use` re-exports, plus tests/ and benchmark/tests
 # whole. A `pub fn|struct|enum|trait|type|const|static` outside the
 # proptest and criterion shims whose name occurs once in the corpus is
@@ -35,7 +36,7 @@ REACH_ALLOW=$reach_allow awk '
 BEGIN { n = split(ENVIRON["REACH_ALLOW"], a, "\n")
         for (i = 1; i <= n; i++) if (split(a[i], w, " ")) allow[w[1]] = 1 }
 FNR == 1 { cut = 0; inuse = 0; whole = FILENAME ~ /^(benchmark\/)?tests\// }
-!whole && /^#\[cfg\(test\)\]/ { cut = 1 }
+!whole && /^#!?\[cfg\(test\)\]/ { cut = 1 }
 cut { next }
 { sub(/\/\/.*/, "") }
 /^[ \t]*pub use / { inuse = 1 }
@@ -56,7 +57,7 @@ echo "==> forks: one probed entry point per component"
 # A component takes its probes through its one entry point; a second
 # `pub fn` named *_traced, *_instrumented or *_profiled beside it is a
 # fork. The scan covers crates/*/src, each file up to its first
-# #[cfg(test)].
+# #[cfg(test)] or #![cfg(test)].
 # Allowlist: name, then why it stays.
 fork_allow='
 run_e2e_instrumented  perfbench sim.rs imports it; ROADMAP 4(b) deletes it
@@ -66,7 +67,7 @@ FORK_ALLOW=$fork_allow awk '
 BEGIN { n = split(ENVIRON["FORK_ALLOW"], a, "\n")
         for (i = 1; i <= n; i++) if (split(a[i], w, " ")) allow[w[1]] = 1 }
 FNR == 1 { cut = 0 }
-/^#\[cfg\(test\)\]/ { cut = 1 }
+/^#!?\[cfg\(test\)\]/ { cut = 1 }
 cut { next }
 match($0, /^[ \t]*pub ((const|unsafe|async) )*fn [A-Za-z_][A-Za-z0-9_]*_(traced|instrumented|profiled)[^A-Za-z0-9_]/) {
     d = substr($0, RSTART, RLENGTH - 1); sub(/.* /, "", d); found[d] = 1
@@ -77,13 +78,14 @@ END { for (x in allow) if (!(x in found)) { print "forks: allowlisted `" x "` no
 
 echo "==> census: non-test lines and pub definitions (printed, not gated)"
 # The lean-code aim is measured in lines and public items. Each file
-# counts up to its first #[cfg(test)]: all lines under crates/*/src,
+# counts up to its first #[cfg(test)] or #![cfg(test)] (a test-only
+# module file counts only its docs): all lines under crates/*/src,
 # crates/*/benches and examples/, and the
 # `pub fn|struct|enum|trait|type|const|static|mod` lines under
 # crates/*/src.
 awk '
 FNR == 1 { cut = 0; src = FILENAME ~ /^crates\/[^\/]+\/src\// }
-/^#\[cfg\(test\)\]/ { cut = 1 }
+/^#!?\[cfg\(test\)\]/ { cut = 1 }
 cut { next }
 { lines++ }
 src && /^[ \t]*pub (fn|struct|enum|trait|type|const|static|mod) / { defs++ }
@@ -117,7 +119,7 @@ done
 cargo run -q -p hni-bench --bin report --release -- bottleneck r-f1 > /dev/null
 cargo run -q -p hni-bench --bin report --release -- r-r1 > /dev/null
 
-echo "==> perf gate: perfbench nic-bulk is correct and delineates inside OC-12's cell time"
+echo "==> perf gate: perfbench nic-bulk is correct, delineates inside OC-12's cell time and carries OC-12's cell rate"
 # A short traced run of the wall-clock benchmark on the real byte path
 # through two Nics. Delineation (Delineator::push_slice on real SONET
 # payloads) must stay inside one OC-12 cell time: 424 bits at
@@ -133,6 +135,20 @@ rm -f perfbench_smoke.json
 [ -n "$delineate_ns" ] || { echo "perf gate: no atm.delineate_ns" >&2; exit 1; }
 awk -v t="$delineate_ns" 'BEGIN { exit !(t + 0 < 681.6) }' || {
     echo "perf gate: atm.delineate_ns $delineate_ns >= OC-12 cell time 681.6 ns" >&2
+    exit 1; }
+# An untraced run of the same workload must carry at least OC-12's cell
+# slot rate, LineRate::Oc12.cell_slots_per_second(): 599.04 Mb/s of
+# payload over 424 bits per cell is 1,412,830 cells/s.
+cargo run -q --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
+    --workload nic-bulk --seconds 3 --json perfbench_rate.json > /dev/null || {
+    echo "perfbench nic-bulk (untraced): run failed or its result is not correct" >&2; exit 1; }
+grep -q '"correct": true' perfbench_rate.json || {
+    echo "perfbench nic-bulk (untraced): result is not correct" >&2; exit 1; }
+cells_per_s=$(sed -n 's/.*"cells_per_s": {"value": \([^,]*\),.*/\1/p' perfbench_rate.json)
+rm -f perfbench_rate.json
+[ -n "$cells_per_s" ] || { echo "perf gate: no cells_per_s" >&2; exit 1; }
+awk -v r="$cells_per_s" 'BEGIN { exit !(r + 0 >= 1412830) }' || {
+    echo "perf gate: nic-bulk cells_per_s $cells_per_s < OC-12 cell slot rate 1412830" >&2
     exit 1; }
 
 echo "==> expfmt lint and always-on dump for every id report list marks"

@@ -14,32 +14,66 @@
 //!
 //! Bits are processed MSB-first within each octet, matching the ATM/SONET
 //! transmission order.
+//!
+//! Both sides take a 32-bit word per step. Output bit `n` depends on bit
+//! `n − 43` alone, and 32 < 43, so the taps of the next 32 bits are all
+//! already in the register: its 32 oldest bits. A tail of fewer than four
+//! octets is clocked bit by bit.
 
 /// Length of the scrambler shift register, in bits.
 pub const REGISTER_BITS: u32 = 43;
+
+/// Bits per word-wide step: fewer than [`REGISTER_BITS`], so no tap is a
+/// bit the same step shifts in.
+const WORD_BITS: u32 = 32;
+const _: () = assert!(WORD_BITS < REGISTER_BITS);
 
 /// 43-bit shift register: bit 0 is the most recent bit, bit 42 the bit
 /// from 43 clocks ago (the feedback tap).
 #[derive(Clone, Copy, Debug, Default)]
 struct Register(u64);
 
+const REGISTER_MASK: u64 = (1 << REGISTER_BITS) - 1;
+
 impl Register {
     /// The feedback tap: the bit shifted in [`REGISTER_BITS`] clocks ago.
     /// The single tap implementation — both scrambler and descrambler
-    /// read through here, so register width and tap position can never
-    /// diverge between the two sides.
+    /// read through here or its word-wide twin [`Register::taps`], both
+    /// derived from [`REGISTER_BITS`], so register width and tap position
+    /// can never diverge between the two sides.
     #[inline]
     fn tap(&self) -> u8 {
         ((self.0 >> (REGISTER_BITS - 1)) & 1) as u8
+    }
+
+    /// The taps of the next [`WORD_BITS`] clocks, the first clock's in
+    /// the most significant bit: the register's oldest bits, from the
+    /// one [`Register::tap`] reads down.
+    #[inline]
+    fn taps(&self) -> u32 {
+        (self.0 >> (REGISTER_BITS - WORD_BITS)) as u32
     }
 
     /// Shift in a new bit, returning the tap observed before the shift.
     #[inline]
     fn clock(&mut self, bit: u8) -> u8 {
         let tap = self.tap();
-        self.0 = ((self.0 << 1) | bit as u64) & ((1u64 << REGISTER_BITS) - 1);
+        self.0 = ((self.0 << 1) | bit as u64) & REGISTER_MASK;
         tap
     }
+
+    /// Shift in [`WORD_BITS`] bits, the first in the most significant bit.
+    #[inline]
+    fn clock_word(&mut self, bits: u32) {
+        self.0 = ((self.0 << WORD_BITS) | bits as u64) & REGISTER_MASK;
+    }
+}
+
+/// The big-endian word in `octets`: transmission order, first bit the
+/// most significant.
+#[inline]
+fn word(octets: &[u8]) -> u32 {
+    u32::from_be_bytes([octets[0], octets[1], octets[2], octets[3]])
 }
 
 /// Transmit-side scrambler.
@@ -56,7 +90,13 @@ impl Scrambler {
 
     /// Scramble a buffer in place.
     pub fn scramble(&mut self, buf: &mut [u8]) {
-        for byte in buf {
+        let mut words = buf.chunks_exact_mut(4);
+        for octets in &mut words {
+            let out = word(octets) ^ self.reg.taps();
+            self.reg.clock_word(out);
+            octets.copy_from_slice(&out.to_be_bytes());
+        }
+        for byte in words.into_remainder() {
             let mut out = 0u8;
             for bit_idx in (0..8).rev() {
                 let in_bit = (*byte >> bit_idx) & 1;
@@ -86,7 +126,14 @@ impl Descrambler {
 
     /// Descramble a buffer in place.
     pub fn descramble(&mut self, buf: &mut [u8]) {
-        for byte in buf {
+        let mut words = buf.chunks_exact_mut(4);
+        for octets in &mut words {
+            let received = word(octets);
+            let out = received ^ self.reg.taps();
+            self.reg.clock_word(received);
+            octets.copy_from_slice(&out.to_be_bytes());
+        }
+        for byte in words.into_remainder() {
             let mut out = 0u8;
             for bit_idx in (0..8).rev() {
                 let rx_bit = (*byte >> bit_idx) & 1;

@@ -26,9 +26,31 @@
 //! offset to the next cell boundary so a receiver *could* shortcut
 //! delineation (ours delineates by HEC, as real interfaces did —
 //! trusting H4 couples you to the far framer's honesty).
+//!
+//! ## Row runs
+//!
+//! The payload columns are contiguous within a row, so a frame's payload
+//! is nine runs of [`LineRate::payload_columns`] octets, each starting
+//! at column 3N + N/3 of its row; the 3N + N/3 octets before a run (TOH,
+//! POH and fixed stuff) are the row's head. Build and parse move the
+//! payload as nine run copies and touch overhead octets one by one, and
+//! nothing walks the frame octet by octet:
+//!
+//! * Scrambling covers frame indices 3N.. in one pass, keystream octet
+//!   `i` on index `3N + i` (see [`crate::scramble`]).
+//! * B1 and B3 fold a word at a time.
+//! * B2 slice `i` covers the octets at frame indices ≡ i (mod N), since
+//!   90·N columns per row keep the column's slice. Each N divides 192,
+//!   the widest slice count, so the covered octets XOR first into a
+//!   192-octet window by index mod 192, a vector at a time, and the
+//!   window folds into the N slices once per frame.
+//!
+//! Receive descrambles each row's head into a stack buffer and its
+//! payload run straight into the caller's buffer, so the frame itself
+//! is never copied.
 
 use crate::rates::LineRate;
-use crate::scramble::FrameScrambler;
+use crate::scramble::{keystream_octet, scramble_at};
 use core::fmt;
 
 /// A1 framing octet.
@@ -46,67 +68,89 @@ pub const H1_CONCAT: u8 = 0x93;
 /// H2 concatenation indication.
 pub const H2_CONCAT: u8 = 0xFF;
 
-/// Geometry helpers for one line rate.
-#[derive(Clone, Copy, Debug)]
-pub struct FrameGeometry {
-    /// The line rate this geometry describes.
-    pub rate: LineRate,
+/// Rows 0–2 of the TOH columns are section overhead: B2 skips them.
+const SOH_ROWS: usize = 3;
+/// The widest STS level; every rate's N divides it.
+const MAX_STS_N: usize = LineRate::Oc192.sts_n();
+/// The widest row head (TOH, POH and fixed stuff), at OC-192.
+const MAX_HEAD: usize = first_payload_column(LineRate::Oc192);
+
+/// The column where each row's payload run starts: 3N + N/3.
+const fn first_payload_column(rate: LineRate) -> usize {
+    rate.columns() - rate.payload_columns()
 }
 
-impl FrameGeometry {
-    /// Geometry for `rate`.
-    pub fn new(rate: LineRate) -> Self {
-        FrameGeometry { rate }
-    }
-
-    /// Octet index of (row, col) in the serialized frame.
-    #[inline]
-    pub fn index(&self, row: usize, col: usize) -> usize {
-        debug_assert!(row < 9 && col < self.rate.columns());
-        row * self.rate.columns() + col
-    }
-
-    /// Whether `col` is a transport-overhead column.
-    #[inline]
-    pub fn is_toh(&self, col: usize) -> bool {
-        col < self.rate.toh_columns()
-    }
-
-    /// The path-overhead column.
-    #[inline]
-    pub fn poh_col(&self) -> usize {
-        self.rate.toh_columns()
-    }
-
-    /// Whether `col` carries ATM payload.
-    #[inline]
-    pub fn is_payload(&self, col: usize) -> bool {
-        col >= self.poh_col() + 1 + self.rate.fixed_stuff_columns() && col < self.rate.columns()
-    }
-
-    /// Whether octet (row, col) is in the section-overhead region
-    /// (rows 0–2 of the TOH columns) — excluded from B2 coverage.
-    #[inline]
-    pub fn is_soh(&self, row: usize, col: usize) -> bool {
-        row < 3 && self.is_toh(col)
-    }
-
-    /// Whether octet (row, col) escapes scrambling (row 0 of TOH:
-    /// A1/A2/J0 octets).
-    #[inline]
-    pub fn is_unscrambled(&self, row: usize, col: usize) -> bool {
-        row == 0 && self.is_toh(col)
-    }
-
-    /// Whether (row, col) is part of the SPE (POH + stuff + payload).
-    #[inline]
-    pub fn is_spe(&self, col: usize) -> bool {
-        col >= self.poh_col()
+/// The first column B2 covers on `row`.
+fn b2_from(rate: LineRate, row: usize) -> usize {
+    if row < SOH_ROWS {
+        rate.toh_columns()
+    } else {
+        0
     }
 }
 
-fn bip8(acc: u8, octets: impl Iterator<Item = u8>) -> u8 {
-    octets.fold(acc, |a, b| a ^ b)
+fn xor_into(dst: &mut [u8], src: &[u8]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
+/// BIP-8 of `octets`, folded a word at a time.
+fn bip8(octets: &[u8]) -> u8 {
+    let mut words = octets.chunks_exact(8);
+    let wide = words.by_ref().fold(0u64, |acc, w| {
+        acc ^ u64::from_ne_bytes(w.try_into().expect("8-octet chunk"))
+    });
+    wide.to_ne_bytes()
+        .iter()
+        .chain(words.remainder())
+        .fold(0, |acc, b| acc ^ b)
+}
+
+/// The parity one frame computes for the next to carry.
+#[derive(Clone, Copy)]
+struct Parity {
+    b1: u8,
+    /// B2's covered octets, folded by frame index mod [`MAX_STS_N`].
+    b2_window: [u8; MAX_STS_N],
+    b3: u8,
+}
+
+impl Parity {
+    const ZERO: Parity = Parity {
+        b1: 0,
+        b2_window: [0; MAX_STS_N],
+        b3: 0,
+    };
+
+    /// Fold row `row`'s unscrambled octets into B2 and B3: `head` runs
+    /// from the first column B2 covers to the payload run, `payload` is
+    /// the run.
+    fn fold_row(&mut self, rate: LineRate, row: usize, head: &[u8], payload: &[u8]) {
+        let run_at = row * rate.columns() + first_payload_column(rate);
+        let spe_head = first_payload_column(rate) - rate.toh_columns();
+        self.fold_b2(run_at - head.len(), head);
+        self.fold_b2(run_at, payload);
+        self.b3 ^= bip8(&head[head.len() - spe_head..]) ^ bip8(payload);
+    }
+
+    /// XOR the octets at frame indices `at..` into the B2 window.
+    fn fold_b2(&mut self, at: usize, octets: &[u8]) {
+        let lead = (MAX_STS_N - at % MAX_STS_N).min(octets.len());
+        xor_into(&mut self.b2_window[at % MAX_STS_N..], &octets[..lead]);
+        for chunk in octets[lead..].chunks(MAX_STS_N) {
+            xor_into(&mut self.b2_window, chunk);
+        }
+    }
+
+    /// The N B2 octets, in the first N places.
+    fn b2(&self, n: usize) -> [u8; MAX_STS_N] {
+        let mut b2 = [0; MAX_STS_N];
+        for slices in self.b2_window.chunks_exact(n) {
+            xor_into(&mut b2, slices);
+        }
+        b2
+    }
 }
 
 /// Errors a [`FrameParser`] can report.
@@ -142,11 +186,9 @@ impl std::error::Error for FrameError {}
 /// Stateful across frames: parity octets describe the *previous* frame,
 /// and the J1 path trace increments.
 pub struct FrameBuilder {
-    geo: FrameGeometry,
+    rate: LineRate,
     frame_count: u64,
-    b1_next: u8,
-    b2_next: Vec<u8>,
-    b3_next: u8,
+    next: Parity,
 }
 
 impl FrameBuilder {
@@ -154,11 +196,9 @@ impl FrameBuilder {
     /// (nothing preceded it), as a freshly enabled framer would.
     pub fn new(rate: LineRate) -> Self {
         FrameBuilder {
-            geo: FrameGeometry::new(rate),
+            rate,
             frame_count: 0,
-            b1_next: 0,
-            b2_next: vec![0; rate.sts_n()],
-            b3_next: 0,
+            next: Parity::ZERO,
         }
     }
 
@@ -167,9 +207,9 @@ impl FrameBuilder {
     /// the octet offset from the first payload octet of the *next* frame
     /// to the next cell boundary (mod 53).
     pub fn build(&mut self, payload: &[u8], h4_cell_offset: u8) -> Vec<u8> {
-        let rate = self.geo.rate;
-        let n = rate.sts_n();
-        let cols = rate.columns();
+        let rate = self.rate;
+        let (n, cols, poh) = (rate.sts_n(), rate.columns(), rate.toh_columns());
+        let first = first_payload_column(rate);
         assert_eq!(
             payload.len(),
             rate.payload_octets_per_frame(),
@@ -177,87 +217,52 @@ impl FrameBuilder {
         );
 
         let mut f = vec![0u8; rate.frame_octets()];
-        let geo = self.geo;
-
-        // Row 0: A1 ×N, A2 ×N, J0/Z0.
-        for i in 0..n {
-            f[geo.index(0, i)] = A1;
-            f[geo.index(0, n + i)] = A2;
-            // J0 carries a section trace; Z0 growth octets numbered.
-            f[geo.index(0, 2 * n + i)] = if i == 0 { 0x01 } else { 0xCC };
-        }
+        // Row 0: A1 ×N, A2 ×N, J0/Z0. J0 carries a section trace; Z0
+        // growth octets numbered.
+        f[..n].fill(A1);
+        f[n..2 * n].fill(A2);
+        f[2 * n] = 0x01;
+        f[2 * n + 1..3 * n].fill(0xCC);
         // Row 1: B1 (parity of previous scrambled frame).
-        f[geo.index(1, 0)] = self.b1_next;
+        f[cols] = self.next.b1;
         // Row 3: pointer.
-        f[geo.index(3, 0)] = H1_LOCKED;
-        f[geo.index(3, n)] = H2_LOCKED;
-        for i in 1..n {
-            f[geo.index(3, i)] = H1_CONCAT;
-            f[geo.index(3, n + i)] = H2_CONCAT;
-        }
+        let ptr = 3 * cols;
+        f[ptr] = H1_LOCKED;
+        f[ptr + 1..ptr + n].fill(H1_CONCAT);
+        f[ptr + n] = H2_LOCKED;
+        f[ptr + n + 1..ptr + 2 * n].fill(H2_CONCAT);
         // Row 4: B2 ×N.
-        for i in 0..n {
-            f[geo.index(4, i)] = self.b2_next[i];
-        }
+        f[4 * cols..4 * cols + n].copy_from_slice(&self.next.b2(n)[..n]);
 
         // POH column.
-        let poh = geo.poh_col();
-        f[geo.index(0, poh)] = (self.frame_count & 0x3F) as u8 | 0x40; // J1 trace tick
-        f[geo.index(1, poh)] = self.b3_next;
-        f[geo.index(2, poh)] = C2_ATM;
-        f[geo.index(5, poh)] = h4_cell_offset;
+        f[poh] = (self.frame_count & 0x3F) as u8 | 0x40; // J1 trace tick
+        f[cols + poh] = self.next.b3;
+        f[2 * cols + poh] = C2_ATM;
+        f[5 * cols + poh] = h4_cell_offset;
 
-        // Payload columns, row-major.
-        let mut p = 0;
-        for row in 0..9 {
-            for col in 0..cols {
-                if geo.is_payload(col) {
-                    f[geo.index(row, col)] = payload[p];
-                    p += 1;
-                }
-            }
+        // Payload runs, and parity for the NEXT frame: B3 over this SPE,
+        // B2 per slice over non-SOH octets — both pre-scrambling.
+        let mut next = Parity::ZERO;
+        for (row, run) in payload.chunks_exact(rate.payload_columns()).enumerate() {
+            let at = row * cols;
+            f[at + first..at + cols].copy_from_slice(run);
+            next.fold_row(rate, row, &f[at + b2_from(rate, row)..at + first], run);
         }
-        debug_assert_eq!(p, payload.len());
 
-        // Parity for the NEXT frame: B3 over this SPE, B2 per slice over
-        // non-SOH octets — both pre-scrambling.
-        let mut b3 = 0u8;
-        let mut b2 = vec![0u8; n];
-        for row in 0..9 {
-            for col in 0..cols {
-                let b = f[geo.index(row, col)];
-                if geo.is_spe(col) {
-                    b3 ^= b;
-                }
-                if !geo.is_soh(row, col) {
-                    b2[col % n] ^= b;
-                }
-            }
-        }
-        self.b3_next = b3;
-        self.b2_next = b2;
-
-        // Scramble everything except row 0 of TOH. The scrambler clocks
-        // only on scrambled octets: it starts on the octet after the
-        // last J0/Z0.
-        let mut scr = FrameScrambler::new();
-        for row in 0..9 {
-            for col in 0..cols {
-                if !geo.is_unscrambled(row, col) {
-                    f[geo.index(row, col)] ^= scr.next_octet();
-                }
-            }
-        }
+        // Scramble everything except row 0 of TOH: the keystream starts
+        // on the octet after the last J0/Z0.
+        scramble_at(0, &mut f[poh..]);
 
         // B1 for the next frame: over this frame post-scrambling.
-        self.b1_next = bip8(0, f.iter().copied());
+        next.b1 = bip8(&f);
+        self.next = next;
         self.frame_count += 1;
         f
     }
 }
 
 /// What a parsed frame yields.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ParsedFrame {
     /// The extracted ATM payload octets.
     pub payload: Vec<u8>,
@@ -273,12 +278,10 @@ pub struct ParsedFrame {
 
 /// Parses successive frames, tracking parity across them.
 pub struct FrameParser {
-    geo: FrameGeometry,
+    rate: LineRate,
     /// Parity computed from the previous frame, to compare with the
     /// B1/B2/B3 octets carried in the current one.
-    b1_expect: Option<u8>,
-    b2_expect: Option<Vec<u8>>,
-    b3_expect: Option<u8>,
+    expect: Option<Parity>,
     total_b1_errors: u64,
     total_b2_errors: u64,
     total_b3_errors: u64,
@@ -288,10 +291,8 @@ impl FrameParser {
     /// A parser for `rate`.
     pub fn new(rate: LineRate) -> Self {
         FrameParser {
-            geo: FrameGeometry::new(rate),
-            b1_expect: None,
-            b2_expect: None,
-            b3_expect: None,
+            rate,
+            expect: None,
             total_b1_errors: 0,
             total_b2_errors: 0,
             total_b3_errors: 0,
@@ -313,118 +314,96 @@ impl FrameParser {
 
     /// Parse one aligned frame.
     pub fn parse(&mut self, frame: &[u8]) -> Result<ParsedFrame, FrameError> {
-        let rate = self.geo.rate;
-        let n = rate.sts_n();
-        let cols = rate.columns();
+        let mut parsed = ParsedFrame::default();
+        self.parse_into(frame, &mut parsed).map(|()| parsed)
+    }
+
+    /// [`FrameParser::parse`] into `parsed`, whose payload buffer is
+    /// reused. On an error `parsed` and the parity state are untouched.
+    pub(crate) fn parse_into(
+        &mut self,
+        frame: &[u8],
+        parsed: &mut ParsedFrame,
+    ) -> Result<(), FrameError> {
+        let rate = self.rate;
+        let (n, cols, poh) = (rate.sts_n(), rate.columns(), rate.toh_columns());
+        let first = first_payload_column(rate);
         if frame.len() != rate.frame_octets() {
             return Err(FrameError::BadSize {
                 expected: rate.frame_octets(),
                 got: frame.len(),
             });
         }
-        let geo = self.geo;
 
         // Alignment check on the unscrambled row 0.
-        for i in 0..n {
-            if frame[geo.index(0, i)] != A1 || frame[geo.index(0, n + i)] != A2 {
-                return Err(FrameError::BadAlignment);
-            }
+        if frame[..n].iter().any(|&b| b != A1) || frame[n..2 * n].iter().any(|&b| b != A2) {
+            return Err(FrameError::BadAlignment);
         }
 
-        // B1 compares against the received (still-scrambled) previous
-        // frame; compute over this frame as received for the next round.
-        let b1_of_this = bip8(0, frame.iter().copied());
-
-        // Descramble a working copy.
-        let mut f = frame.to_vec();
-        let mut scr = FrameScrambler::new();
-        for row in 0..9 {
-            for col in 0..cols {
-                if !geo.is_unscrambled(row, col) {
-                    f[geo.index(row, col)] ^= scr.next_octet();
-                }
-            }
-        }
+        // The descrambled overhead octet at frame index `k`.
+        let clear = |k: usize| frame[k] ^ keystream_octet(k - poh);
 
         // Pointer sanity.
-        let h1 = f[geo.index(3, 0)];
-        let h2 = f[geo.index(3, n)];
-        if (h1, h2) != (H1_LOCKED, H2_LOCKED) {
+        let ptr = 3 * cols;
+        if (clear(ptr), clear(ptr + n)) != (H1_LOCKED, H2_LOCKED)
+            || (1..n).any(|i| (clear(ptr + i), clear(ptr + n + i)) != (H1_CONCAT, H2_CONCAT))
+        {
             return Err(FrameError::BadPointer);
         }
-        for i in 1..n {
-            if (f[geo.index(3, i)], f[geo.index(3, n + i)]) != (H1_CONCAT, H2_CONCAT) {
-                return Err(FrameError::BadPointer);
-            }
-        }
 
-        let poh = geo.poh_col();
-        let c2 = f[geo.index(2, poh)];
+        let c2 = clear(2 * cols + poh);
         if c2 != C2_ATM {
             return Err(FrameError::BadSignalLabel(c2));
         }
-        let h4 = f[geo.index(5, poh)];
+        parsed.h4 = clear(5 * cols + poh);
 
         // Parity comparison with what the previous frame predicted.
-        let b1_errors = match self.b1_expect {
-            Some(exp) => (exp ^ f[geo.index(1, 0)]).count_ones(),
-            None => 0,
-        };
-        let b2_errors = match &self.b2_expect {
-            Some(exp) => (0..n)
-                .map(|i| (exp[i] ^ f[geo.index(4, i)]).count_ones())
-                .sum(),
-            None => 0,
-        };
-        let b3_errors = match self.b3_expect {
-            Some(exp) => (exp ^ f[geo.index(1, poh)]).count_ones(),
-            None => 0,
+        (parsed.b1_errors, parsed.b2_errors, parsed.b3_errors) = match &self.expect {
+            Some(exp) => (
+                (exp.b1 ^ clear(cols)).count_ones(),
+                exp.b2(n)[..n]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b2)| (b2 ^ clear(4 * cols + i)).count_ones())
+                    .sum(),
+                (exp.b3 ^ clear(cols + poh)).count_ones(),
+            ),
+            None => (0, 0, 0),
         };
 
-        // Compute this frame's parity for the next comparison.
-        let mut b3 = 0u8;
-        let mut b2 = vec![0u8; n];
+        // Extract the payload runs descrambled, and compute this frame's
+        // parity for the next comparison: B1 over the frame as received.
+        let payload = &mut parsed.payload;
+        payload.clear();
+        payload.reserve_exact(rate.payload_octets_per_frame());
+        let mut head_buf = [0u8; MAX_HEAD];
+        let mut this = Parity::ZERO;
         for row in 0..9 {
-            for col in 0..cols {
-                let b = f[geo.index(row, col)];
-                if geo.is_spe(col) {
-                    b3 ^= b;
-                }
-                if !geo.is_soh(row, col) {
-                    b2[col % n] ^= b;
-                }
-            }
+            let at = row * cols;
+            let from = at + b2_from(rate, row);
+            let head = &mut head_buf[..at + first - from];
+            head.copy_from_slice(&frame[from..at + first]);
+            scramble_at(from - poh, head);
+            let run = payload.len();
+            payload.extend_from_slice(&frame[at + first..at + cols]);
+            scramble_at(at + first - poh, &mut payload[run..]);
+            this.fold_row(rate, row, head, &payload[run..]);
         }
-        self.b1_expect = Some(b1_of_this);
-        self.b2_expect = Some(b2);
-        self.b3_expect = Some(b3);
+        this.b1 = bip8(frame);
+        self.expect = Some(this);
 
-        // Extract payload.
-        let mut payload = Vec::with_capacity(rate.payload_octets_per_frame());
-        for row in 0..9 {
-            for col in 0..cols {
-                if geo.is_payload(col) {
-                    payload.push(f[geo.index(row, col)]);
-                }
-            }
-        }
-
-        self.total_b1_errors += b1_errors as u64;
-        self.total_b2_errors += b2_errors as u64;
-        self.total_b3_errors += b3_errors as u64;
-        Ok(ParsedFrame {
-            payload,
-            b1_errors,
-            b2_errors,
-            b3_errors,
-            h4,
-        })
+        self.total_b1_errors += parsed.b1_errors as u64;
+        self.total_b2_errors += parsed.b2_errors as u64;
+        self.total_b3_errors += parsed.b3_errors as u64;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::Geometry;
+    use crate::scramble::FrameScrambler;
 
     fn payload_for(rate: LineRate, seed: u8) -> Vec<u8> {
         (0..rate.payload_octets_per_frame())
@@ -471,8 +450,7 @@ mod tests {
         // keystream octet 0 (0xFE). The first frame's J1 is 0x40.
         assert_eq!(FrameScrambler::new().next_octet(), 0xFE);
         for rate in [LineRate::Oc3, LineRate::Oc12] {
-            let geo = FrameGeometry::new(rate);
-            let j1 = geo.index(0, geo.poh_col());
+            let j1 = rate.toh_columns();
             assert_eq!(j1, 3 * rate.sts_n());
             let frame = FrameBuilder::new(rate).build(&payload_for(rate, 0), 0);
             assert_eq!(frame[j1], 0xBE, "{rate:?}: J1 0x40 ^ 0xFE");
@@ -503,8 +481,7 @@ mod tests {
         // Corrupt one payload bit of frame 1, then parse frame 2 to see
         // the parity report (parity for frame k is carried in frame k+1).
         let mut f1 = b.build(&payload_for(rate, 1), 0);
-        let geo = FrameGeometry::new(rate);
-        let idx = geo.index(5, geo.poh_col() + 5); // a payload octet
+        let idx = 5 * rate.columns() + rate.toh_columns() + 5; // a payload octet
         f1[idx] ^= 0x10;
         p.parse(&f1).unwrap();
         let f2 = b.build(&payload_for(rate, 2), 0);
@@ -521,8 +498,7 @@ mod tests {
         let mut p = FrameParser::new(rate);
         p.parse(&b.build(&payload_for(rate, 0), 0)).unwrap();
         let mut f1 = b.build(&payload_for(rate, 1), 0);
-        let geo = FrameGeometry::new(rate);
-        f1[geo.index(2, 1)] ^= 0x01; // D-channel octet in SOH (scrambled, but B2/B3-exempt)
+        f1[2 * rate.columns() + 1] ^= 0x01; // D-channel octet in SOH (scrambled, but B2/B3-exempt)
         p.parse(&f1).unwrap();
         let parsed = p.parse(&b.build(&payload_for(rate, 2), 0)).unwrap();
         assert_eq!(parsed.b1_errors, 1);
@@ -559,13 +535,12 @@ mod tests {
         let mut frame = b.build(&payload_for(rate, 0), 0);
         // Flip C2 through the scrambler: locate and XOR both. The
         // keystream starts after row 0's 3N unscrambled TOH octets.
-        let geo = FrameGeometry::new(rate);
         let mut scr = FrameScrambler::new();
         let mut keys = vec![0u8; rate.frame_octets()];
         for k in keys[3 * rate.sts_n()..].iter_mut() {
             *k = scr.next_octet();
         }
-        let idx = geo.index(2, geo.poh_col());
+        let idx = 2 * rate.columns() + rate.toh_columns();
         frame[idx] = 0xFF ^ keys[idx]; // 0xFF before scrambling
         let mut p = FrameParser::new(rate);
         assert!(matches!(
@@ -576,35 +551,50 @@ mod tests {
 
     #[test]
     fn geometry_classification_partitions_columns() {
-        for rate in [LineRate::Oc3, LineRate::Oc12] {
-            let geo = FrameGeometry::new(rate);
-            let mut toh = 0;
-            let mut poh = 0;
-            let mut stuff = 0;
-            let mut pay = 0;
+        // The row runs agree with the per-column classes of the reference
+        // geometry: each row is a head of TOH, POH and fixed stuff, then
+        // one payload run; B2 starts past the TOH on the section-overhead
+        // rows; and the B2 window and head buffer fit every rate.
+        for rate in [
+            LineRate::Oc3,
+            LineRate::Oc12,
+            LineRate::Oc48,
+            LineRate::Oc192,
+        ] {
+            let geo = Geometry::new(rate);
+            let first = first_payload_column(rate);
             for col in 0..rate.columns() {
-                let classes = [geo.is_toh(col), col == geo.poh_col(), geo.is_payload(col)];
-                assert!(
-                    classes.iter().filter(|&&c| c).count() <= 1,
-                    "column {col} must be at most one class"
+                assert_eq!(
+                    geo.is_toh(col),
+                    col < rate.toh_columns(),
+                    "{rate:?} col {col}"
                 );
-                if classes[0] {
-                    toh += 1
-                } else if classes[1] {
-                    poh += 1
-                } else if classes[2] {
-                    pay += 1
-                } else {
-                    // Neither overhead nor payload: fixed stuff, which
-                    // follows the path-overhead column.
-                    assert!(col > geo.poh_col(), "column {col} unclassified");
-                    stuff += 1
+                assert_eq!(
+                    geo.is_spe(col),
+                    col >= rate.toh_columns(),
+                    "{rate:?} col {col}"
+                );
+                assert_eq!(geo.is_payload(col), col >= first, "{rate:?} col {col}");
+                for row in 0..9 {
+                    assert_eq!(
+                        !geo.is_soh(row, col),
+                        col >= b2_from(rate, row),
+                        "{rate:?} ({row}, {col})"
+                    );
                 }
             }
-            assert_eq!(toh, rate.toh_columns());
-            assert_eq!(poh, 1);
-            assert_eq!(stuff, rate.fixed_stuff_columns());
-            assert_eq!(pay, rate.payload_columns());
+            assert_eq!(first, rate.toh_columns() + 1 + rate.fixed_stuff_columns());
+            assert_eq!(first - rate.toh_columns(), rate.sts_n() / 3);
+            assert_eq!(
+                9 * (rate.columns() - first),
+                rate.payload_octets_per_frame()
+            );
+            assert_eq!(
+                MAX_STS_N % rate.sts_n(),
+                0,
+                "{rate:?}: N divides the window"
+            );
+            assert!(first <= MAX_HEAD, "{rate:?}: the widest head fits");
         }
     }
 }

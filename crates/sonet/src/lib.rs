@@ -14,8 +14,10 @@
 //! * [`frame`] — STS-Nc frame construction/parsing: transport overhead
 //!   (A1/A2 alignment, J0, B1/B2 parity, H1–H3 pointer with
 //!   concatenation indications), path overhead (J1, B3, C2 = 0x13 "ATM
-//!   mapping", H4 cell-offset), fixed stuff, payload extraction.
-//! * [`scramble`] — the frame-synchronous 1 + x⁶ + x⁷ section scrambler.
+//!   mapping", H4 cell-offset), fixed stuff, payload extraction, all
+//!   as nine row runs with word-wide parity.
+//! * [`scramble`] — the frame-synchronous 1 + x⁶ + x⁷ section scrambler,
+//!   applied from a compile-time table of its 127-octet keystream period.
 //! * [`sync`] — receiver frame alignment (A1A2 hunting) state machine.
 //! * [`tc`] — the ATM transmission-convergence sublayer: cells →
 //!   payload byte stream (with idle-cell insertion and x⁴³+1 payload
@@ -41,8 +43,11 @@ pub mod scramble;
 pub mod sync;
 pub mod tc;
 
-pub use frame::{FrameBuilder, FrameError, FrameGeometry, FrameParser, ParsedFrame};
+pub use frame::{FrameBuilder, FrameError, FrameParser, ParsedFrame};
 pub use rates::LineRate;
 pub use scramble::FrameScrambler;
 pub use sync::{FrameAligner, FrameSyncState};
 pub use tc::{TcReceiver, TcTransmitter};
+
+#[cfg(test)]
+mod reference;

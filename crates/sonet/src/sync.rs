@@ -144,7 +144,8 @@ impl FrameAligner {
                         return;
                     }
                     let ok = self.pattern_at(0);
-                    let frame: Vec<u8> = self.buf.drain(..flen).collect();
+                    let frame = self.buf[..flen].to_vec();
+                    self.buf.drain(..flen);
                     if ok {
                         self.state = FrameSyncState::Sync { misses: 0 };
                         out.push(frame);

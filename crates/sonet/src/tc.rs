@@ -25,10 +25,10 @@
 //! neighbouring frame is almost always already doomed at the AAL layer —
 //! and is documented here rather than papered over.
 
-use crate::frame::{FrameBuilder, FrameParser};
+use crate::frame::{FrameBuilder, FrameParser, ParsedFrame};
 use crate::rates::LineRate;
 use crate::sync::FrameAligner;
-use hni_atm::{Cell, Delineator, Descrambler, Scrambler, CELL_SIZE, PAYLOAD_SIZE};
+use hni_atm::{Cell, Delineator, Descrambler, Scrambler, CELL_SIZE, HEADER_SIZE};
 use std::collections::VecDeque;
 
 /// Cells → frames.
@@ -38,6 +38,8 @@ pub struct TcTransmitter {
     scrambler: Scrambler,
     /// Octet queue awaiting frame payload slots (already scrambled).
     queue: VecDeque<u8>,
+    /// Reusable frame payload, drained from `queue` each frame.
+    payload: Vec<u8>,
     /// Octets consumed into frames so far (for H4 phase).
     consumed: u64,
     data_cells: u64,
@@ -52,6 +54,7 @@ impl TcTransmitter {
             builder: FrameBuilder::new(rate),
             scrambler: Scrambler::new(),
             queue: VecDeque::new(),
+            payload: Vec::new(),
             consumed: 0,
             data_cells: 0,
             idle_cells: 0,
@@ -76,14 +79,10 @@ impl TcTransmitter {
     }
 
     fn enqueue(&mut self, cell: &Cell) {
-        let bytes = cell.as_bytes();
-        // Header in the clear.
-        self.queue.extend(&bytes[..5]);
-        // Payload through the stream scrambler.
-        let mut payload = [0u8; PAYLOAD_SIZE];
-        payload.copy_from_slice(&bytes[5..]);
-        self.scrambler.scramble(&mut payload);
-        self.queue.extend(payload.iter());
+        // Header in the clear, payload through the stream scrambler.
+        let mut bytes = *cell.as_bytes();
+        self.scrambler.scramble(&mut bytes[HEADER_SIZE..]);
+        self.queue.extend(&bytes);
     }
 
     /// Queue a data cell for transmission.
@@ -101,7 +100,8 @@ impl TcTransmitter {
             self.idle_cells += 1;
             self.enqueue(&idle);
         }
-        let payload: Vec<u8> = self.queue.drain(..need).collect();
+        self.payload.clear();
+        self.payload.extend(self.queue.drain(..need));
         self.consumed += need as u64;
         // Offset from the next frame's first payload octet to the next
         // cell boundary.
@@ -111,7 +111,7 @@ impl TcTransmitter {
         } else {
             CELL_SIZE as u8 - phase
         };
-        self.builder.build(&payload, h4)
+        self.builder.build(&self.payload, h4)
     }
 }
 
@@ -125,6 +125,8 @@ pub struct TcReceiver {
     data_cells: u64,
     /// Reusable frame scratch (outer Vec capacity persists across calls).
     frames: Vec<Vec<u8>>,
+    /// Reusable parse output: its payload buffer persists across frames.
+    parsed: ParsedFrame,
     /// Reusable delineated-cell scratch.
     cells: Vec<Cell>,
 }
@@ -140,6 +142,7 @@ impl TcReceiver {
             frame_errors: 0,
             data_cells: 0,
             frames: Vec::new(),
+            parsed: ParsedFrame::default(),
             cells: Vec::new(),
         }
     }
@@ -168,14 +171,13 @@ impl TcReceiver {
     /// Feed received line octets; recovered data cells are appended to
     /// `out`.
     pub fn push_bytes(&mut self, bytes: &[u8], out: &mut Vec<Cell>) {
-        let mut frames = std::mem::take(&mut self.frames);
-        frames.clear();
-        self.aligner.push(bytes, &mut frames);
-        let mut cells = std::mem::take(&mut self.cells);
-        cells.clear();
-        for frame in &frames {
-            match self.parser.parse(frame) {
-                Ok(parsed) => self.delineator.push_slice(&parsed.payload, &mut cells),
+        self.frames.clear();
+        self.aligner.push(bytes, &mut self.frames);
+        for frame in &self.frames {
+            match self.parser.parse_into(frame, &mut self.parsed) {
+                Ok(()) => self
+                    .delineator
+                    .push_slice(&self.parsed.payload, &mut self.cells),
                 Err(_) => {
                     // Skip the frame; the delineator simply sees a gap in
                     // the payload stream (as hardware would on a bad frame).
@@ -183,25 +185,20 @@ impl TcReceiver {
                 }
             }
         }
-        for mut cell in cells.drain(..) {
-            let mut payload = [0u8; PAYLOAD_SIZE];
-            payload.copy_from_slice(cell.payload());
-            self.descrambler.descramble(&mut payload);
-            cell.payload_mut().copy_from_slice(&payload);
+        for mut cell in self.cells.drain(..) {
+            self.descrambler.descramble(cell.payload_mut());
             if !cell.is_idle() && !cell.is_unassigned() {
                 self.data_cells += 1;
                 out.push(cell);
             }
         }
-        self.frames = frames;
-        self.cells = cells;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hni_atm::{HeaderRepr, VcId};
+    use hni_atm::{HeaderRepr, VcId, PAYLOAD_SIZE};
 
     fn data_cell(vci: u16, fill: u8) -> Cell {
         Cell::new(

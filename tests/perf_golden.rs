@@ -9,6 +9,9 @@
 //! 3. The steady-state segmentation → link → reassembly loop performs
 //!    zero heap allocations and zero slab growth after warm-up,
 //!    proven by a counting global allocator.
+//! 4. The SONET transmission-convergence path allocates only the frames
+//!    its signatures hand over: one per frame built, one per frame the
+//!    aligner slices out.
 //!
 //! The allocation counter (`support/alloc_counter.rs`) is
 //! thread-filtered, so the other tests in this binary — which allocate
@@ -275,4 +278,47 @@ fn steady_state_e2e_zero_allocations_zero_slab_growth() {
         "slab grew after warm-up"
     );
     assert_eq!(slab.high_water(), high_water, "slab high-water moved");
+}
+
+#[test]
+fn steady_state_framing_allocates_only_the_frames_it_hands_over() {
+    use hni_atm::{Cell, HeaderRepr, PAYLOAD_SIZE};
+    use hni_sonet::{LineRate, TcReceiver, TcTransmitter};
+
+    let rate = LineRate::Oc12;
+    let mut tx = TcTransmitter::new(rate);
+    let mut rx = TcReceiver::new(rate);
+    let mut out = Vec::new();
+    // A partly filled frame: data cells, the rest idle fill.
+    let cells: Vec<Cell> = (0..150u16)
+        .map(|i| {
+            let header = HeaderRepr::data(VcId::new(0, 32 + i % 8), i % 10 == 9);
+            Cell::new(&header, &[i as u8; PAYLOAD_SIZE]).unwrap()
+        })
+        .collect();
+    let mut round = |tx: &mut TcTransmitter, rx: &mut TcReceiver| {
+        for cell in &cells {
+            tx.push_cell(cell);
+        }
+        let (frame, built) = allocs_during(|| tx.pull_frame());
+        out.clear();
+        let ((), received) = allocs_during(|| rx.push_bytes(&frame, &mut out));
+        (built, received, out.len())
+    };
+
+    // Warm-up: frame and cell alignment, and every reused buffer's
+    // capacity.
+    for _ in 0..16 {
+        round(&mut tx, &mut rx);
+    }
+    assert!(rx.aligner().is_synced() && rx.delineator().is_synced());
+    for _ in 0..50 {
+        // `pull_frame` returns its frame; `FrameAligner::push` appends
+        // the frame it slices out of the line octets. Nothing else.
+        let (built, received, delivered) = round(&mut tx, &mut rx);
+        assert_eq!((built, received), (1, 1), "allocations per frame");
+        assert_eq!(delivered, cells.len(), "every data cell arrives");
+    }
+    assert_eq!(rx.parser().total_b1_errors(), 0);
+    assert_eq!(rx.frame_errors(), 0);
 }
