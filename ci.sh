@@ -119,7 +119,7 @@ done
 cargo run -q -p hni-bench --bin report --release -- bottleneck r-f1 > /dev/null
 cargo run -q -p hni-bench --bin report --release -- r-r1 > /dev/null
 
-echo "==> perf gate: perfbench nic-bulk is correct, delineates inside OC-12's cell time and carries OC-12's cell rate"
+echo "==> perf gate: perfbench nic-bulk is correct and delineates inside OC-12's cell time; nic-bulk and nic-small carry OC-12's cell rate"
 # A short traced run of the wall-clock benchmark on the real byte path
 # through two Nics. Delineation (Delineator::push_slice on real SONET
 # payloads) must stay inside one OC-12 cell time: 424 bits at
@@ -136,20 +136,23 @@ rm -f perfbench_smoke.json
 awk -v t="$delineate_ns" 'BEGIN { exit !(t + 0 < 681.6) }' || {
     echo "perf gate: atm.delineate_ns $delineate_ns >= OC-12 cell time 681.6 ns" >&2
     exit 1; }
-# An untraced run of the same workload must carry at least OC-12's cell
-# slot rate, LineRate::Oc12.cell_slots_per_second(): 599.04 Mb/s of
-# payload over 424 bits per cell is 1,412,830 cells/s.
-cargo run -q --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
-    --workload nic-bulk --seconds 3 --json perfbench_rate.json > /dev/null || {
-    echo "perfbench nic-bulk (untraced): run failed or its result is not correct" >&2; exit 1; }
-grep -q '"correct": true' perfbench_rate.json || {
-    echo "perfbench nic-bulk (untraced): result is not correct" >&2; exit 1; }
-cells_per_s=$(sed -n 's/.*"cells_per_s": {"value": \([^,]*\),.*/\1/p' perfbench_rate.json)
-rm -f perfbench_rate.json
-[ -n "$cells_per_s" ] || { echo "perf gate: no cells_per_s" >&2; exit 1; }
-awk -v r="$cells_per_s" 'BEGIN { exit !(r + 0 >= 1412830) }' || {
-    echo "perf gate: nic-bulk cells_per_s $cells_per_s < OC-12 cell slot rate 1412830" >&2
-    exit 1; }
+# Untraced runs of the same workload and of nic-small (1-12 cell SDUs,
+# where per-packet work weighs most) must each carry at least OC-12's
+# cell slot rate, LineRate::Oc12.cell_slots_per_second(): 599.04 Mb/s
+# of payload over 424 bits per cell is 1,412,830 cells/s.
+for workload in nic-bulk nic-small; do
+    cargo run -q --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 3 --json perfbench_rate.json > /dev/null || {
+        echo "perfbench $workload (untraced): run failed or its result is not correct" >&2; exit 1; }
+    grep -q '"correct": true' perfbench_rate.json || {
+        echo "perfbench $workload (untraced): result is not correct" >&2; exit 1; }
+    cells_per_s=$(sed -n 's/.*"cells_per_s": {"value": \([^,]*\),.*/\1/p' perfbench_rate.json)
+    rm -f perfbench_rate.json
+    [ -n "$cells_per_s" ] || { echo "perf gate: no cells_per_s for $workload" >&2; exit 1; }
+    awk -v r="$cells_per_s" 'BEGIN { exit !(r + 0 >= 1412830) }' || {
+        echo "perf gate: $workload cells_per_s $cells_per_s < OC-12 cell slot rate 1412830" >&2
+        exit 1; }
+done
 
 echo "==> expfmt lint and always-on dump for every id report list marks"
 # The ids come from the canonical-run declarations, through report list:
@@ -187,9 +190,8 @@ if cargo run -q -p hni-bench --bin report --release -- \
     diff r-f3 r-f1 > /dev/null 2>&1; then
     echo "report diff r-f3 r-f1: schema mismatch must exit non-zero" >&2; exit 1
 fi
-# The exemplars are selected from the traced lives by a total order and
-# an identity hash: the report must be byte-identical across worker
-# counts.
+# The exemplars are selected from the traced lives by a total order:
+# the report must be byte-identical across worker counts.
 HNI_JOBS=1 cargo run -q -p hni-bench --bin report --release -- \
     exemplars r-f3 > exemplars_j1.txt
 HNI_JOBS=4 cargo run -q -p hni-bench --bin report --release -- \

@@ -95,11 +95,9 @@ pub fn unloaded_latency(
         + e.task_time(TaskKind::RxCellCrc);
     let rx_validate = e.task_time(TaskKind::RxPacketValidate);
     let mut rx_delivery_dma = Duration::ZERO;
-    if len > 0 {
-        for b in 0..bus.bursts_for(len) {
-            rx_delivery_dma +=
-                e.task_time(TaskKind::RxDmaBurst) + bus.burst_time(bus.burst_words(len, b));
-        }
+    for b in 0..bus.bursts_for(len) {
+        rx_delivery_dma +=
+            e.task_time(TaskKind::RxDmaBurst) + bus.burst_time(bus.burst_words(len, b));
     }
     let rx_complete = e.task_time(TaskKind::RxPacketComplete);
 

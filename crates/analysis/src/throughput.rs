@@ -51,7 +51,7 @@ fn predict(
     aal: AalType,
 ) -> ThroughputPrediction {
     let cells = aal.cells_for_sdu(len);
-    let bursts = if len == 0 { 0 } else { bus.bursts_for(len) };
+    let bursts = bus.bursts_for(len);
 
     // Engine seconds per packet.
     let instr = per_packet_instr as f64
@@ -303,7 +303,7 @@ pub fn predict_tx_with_bubble(
     use hni_core::engine::{ProtocolEngine, TaskKind};
     let e = ProtocolEngine::new(mips, partition);
     let cells = aal.cells_for_sdu(len);
-    let bursts = if len == 0 { 0 } else { bus.bursts_for(len) };
+    let bursts = bus.bursts_for(len);
 
     let t_setup = e.task_time(TaskKind::TxPacketSetup).as_s_f64();
     let t_complete = e.task_time(TaskKind::TxPacketComplete).as_s_f64();

@@ -25,7 +25,6 @@ pub use table::Table;
 use experiments::*;
 use hni_core::{CellLedger, E2eReport, RxReport, TxReport};
 use hni_sim::{Histogram, Time};
-use hni_telemetry::sampler::mix64;
 use hni_telemetry::{
     CycleProfiler, NullProfiler, NullTracer, Profile, Profiler, TraceEvent, Tracer, VcMetrics,
     VecTracer,
@@ -438,9 +437,7 @@ pub fn tail_report(id: &str) -> Option<String> {
     };
     Some(format!(
         "{title} — tail anatomy ({} packets indexed)\n\
-         (cohorts are exact order statistics over traced totals; the\n\
-          reservoir's p99+ cohort in `report exemplars` uses the log2-bucket\n\
-          histogram bound instead — see EXPERIMENTS.md \"R-O2 methodology\")\n\n{body}",
+         (cohorts are exact order statistics over traced totals)\n\n{body}",
         spans.len()
     ))
 }
@@ -460,10 +457,6 @@ struct Exemplar {
 
 /// How many of the slowest lives `report exemplars` names.
 const EXEMPLARS_SLOWEST: usize = 8;
-/// Its identity sample keeps one packet identity in this many.
-const EXEMPLARS_ONE_IN: u64 = 8;
-/// Its p99+ cohort is carved from this many of the sample's slowest.
-const EXEMPLARS_SAMPLED: usize = 16;
 
 /// Every completed life in a span index, slowest first.
 fn ranked_lives(spans: &hni_telemetry::PacketSpans) -> Vec<Exemplar> {
@@ -483,30 +476,14 @@ fn ranked_lives(spans: &hni_telemetry::PacketSpans) -> Vec<Exemplar> {
     ranked
 }
 
-/// The p99+ cohort of ranked lives: those among the slowest
-/// [`EXEMPLARS_SAMPLED`] of the identity sample whose latency reaches
-/// `threshold_ps`, slowest first. Sample membership is a seeded hash of
-/// a life's `(vc, pkt)` alone, so it is the same on every rerun and
-/// worker count, like the sampled trace's.
-fn sampled_cohort(ranked: &[Exemplar], threshold_ps: u64) -> impl Iterator<Item = &Exemplar> {
-    ranked
-        .iter()
-        .filter(|e| {
-            let id = (e.vc as u64) << 32 | e.pkt as u64;
-            mix64(0x5eed_1991 ^ mix64(id)).is_multiple_of(EXEMPLARS_ONE_IN)
-        })
-        .take(EXEMPLARS_SAMPLED)
-        .filter(move |e| e.latency_ps >= threshold_ps)
-}
-
 /// Tail exemplar report: the slowest traced lives of an experiment's
-/// canonical run with their full span breakdowns, plus the p99+ cohort
-/// of a deterministic identity sample (`report exemplars <id>`).
+/// canonical run with their full span breakdowns (`report exemplars
+/// <id>`).
 pub fn exemplars_report(id: &str) -> Option<String> {
     let mut tracer = VecTracer::new();
     let (title, run) = canonical(id, "exemplars", &mut tracer, &mut NullProfiler)?;
     // Only end-to-end runs trace whole lives.
-    let Run::E2e(report) = run else { return None };
+    let Run::E2e(_) = run else { return None };
     let spans = hni_telemetry::PacketSpans::from_events(tracer.events());
     let ranked = ranked_lives(&spans);
     let slowest = &ranked[..ranked.len().min(EXEMPLARS_SLOWEST)];
@@ -522,7 +499,7 @@ pub fn exemplars_report(id: &str) -> Option<String> {
     }
     let mut out = format!(
         "{title} — tail exemplars (traced lives,\n\
-         {} packets offered, identity sample 1-in-{EXEMPLARS_ONE_IN})\n\n{}\n",
+         {} packets offered)\n\n{}\n",
         ranked.len(),
         t.render()
     );
@@ -540,22 +517,6 @@ pub fn exemplars_report(id: &str) -> Option<String> {
             );
         }
     }
-    // The p99+ cohort carved from the identity sample, using the
-    // end-to-end histogram's log2-bucket p99 bound as the threshold.
-    let p99 = report.latency_hist.quantile(0.99);
-    let cohort: Vec<String> = sampled_cohort(&ranked, p99)
-        .map(|e| format!("pkt {} ({:.3} us)", e.pkt, e.latency_ps as f64 / 1e6))
-        .collect();
-    let _ = writeln!(
-        out,
-        "\np99+ cohort (sampled identities >= histogram p99 bound {:.3} us): {}",
-        p99 as f64 / 1e6,
-        if cohort.is_empty() {
-            "none sampled".to_string()
-        } else {
-            cohort.join(", ")
-        }
-    );
     Some(out)
 }
 
@@ -774,12 +735,10 @@ mod tests {
         events
     }
 
-    /// The exemplar selection is a total order over completed lives —
-    /// equal latencies rank by `(vc, pkt)` — its identity sample keeps
-    /// the same packets whatever their latencies or trace order, and
-    /// the cohort is the part of the sample at or above the threshold.
+    /// The exemplar selection is a total order over completed lives:
+    /// equal latencies rank by `(vc, pkt)`, whatever the trace order.
     #[test]
-    fn exemplars_rank_by_identity_on_ties_and_sample_by_identity() {
+    fn exemplars_rank_by_identity_on_ties() {
         let ranked = |lives: &[(u32, u32, u64)]| {
             let events: Vec<TraceEvent> = lives
                 .iter()
@@ -787,8 +746,8 @@ mod tests {
                 .collect();
             ranked_lives(&hni_telemetry::PacketSpans::from_events(&events))
         };
-        fn ids<'a>(lives: impl IntoIterator<Item = &'a Exemplar>) -> Vec<(u32, u32)> {
-            lives.into_iter().map(|e| (e.vc, e.pkt)).collect()
+        fn ids(lives: &[Exemplar]) -> Vec<(u32, u32)> {
+            lives.iter().map(|e| (e.vc, e.pkt)).collect()
         }
         let ties = [(64, 0, 100), (32, 1, 100), (64, 2, 100), (64, 3, 90)];
         let mut reversed = ties;
@@ -796,37 +755,6 @@ mod tests {
         let expected = [(64, 2), (64, 0), (32, 1), (64, 3)];
         assert_eq!(ids(&ranked(&ties)), expected);
         assert_eq!(ids(&ranked(&reversed)), expected);
-        // Same identities, other latencies and trace order: the sample
-        // keeps the same packets.
-        let sample = |lives: &[(u32, u32, u64)]| {
-            let mut kept = ids(sampled_cohort(&ranked(lives), 0));
-            kept.sort_unstable();
-            kept
-        };
-        let rising: Vec<(u32, u32, u64)> = (0..64).map(|p| (32, p, 100 + p as u64)).collect();
-        let scrambled: Vec<(u32, u32, u64)> = (0..64)
-            .rev()
-            .map(|p| (32, p, 100 + (p as u64 * 37) % 64))
-            .collect();
-        let kept = sample(&rising);
-        assert_eq!(kept, sample(&scrambled));
-        // Neither empty nor capped: the hash, not the cap, decided.
-        assert!(
-            !kept.is_empty() && kept.len() < EXEMPLARS_SAMPLED,
-            "1-in-{EXEMPLARS_ONE_IN} of 64 kept {}",
-            kept.len()
-        );
-        // In `rising`, packet p takes 100 + p ns: a 132 ns threshold
-        // keeps the sampled packets from 32 up, slowest first.
-        let cohort = ids(sampled_cohort(&ranked(&rising), 132_000));
-        let above: Vec<_> = kept
-            .iter()
-            .rev()
-            .filter(|&&(_, p)| p >= 32)
-            .copied()
-            .collect();
-        assert!(!above.is_empty() && above.len() < kept.len(), "{kept:?}");
-        assert_eq!(cohort, above);
     }
 
     #[test]

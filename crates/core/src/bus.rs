@@ -72,19 +72,20 @@ impl BusConfig {
         (words as usize * self.word_bytes) as f64 / t
     }
 
-    /// Number of bursts to move `bytes` (last burst may be short).
+    /// Number of bursts to move `bytes` (last burst may be short; an
+    /// empty transfer takes none).
     pub fn bursts_for(&self, bytes: usize) -> u32 {
         let per = self.max_burst_words as usize * self.word_bytes;
-        bytes.div_ceil(per).max(1) as u32
+        bytes.div_ceil(per) as u32
     }
 
     /// Words in burst number `i` (0-based) of a `bytes`-byte transfer.
     pub fn burst_words(&self, bytes: usize, i: u32) -> u32 {
         let per = self.max_burst_words as usize * self.word_bytes;
         let start = i as usize * per;
-        debug_assert!(start < bytes.max(1));
+        debug_assert!(start < bytes);
         let remain = bytes.saturating_sub(start).min(per);
-        (remain.div_ceil(self.word_bytes) as u32).max(1)
+        remain.div_ceil(self.word_bytes) as u32
     }
 }
 
@@ -277,11 +278,7 @@ mod tests {
         let cfg = BusConfig::default(); // 128 bytes per full burst
         assert_eq!(cfg.bursts_for(128), 1);
         assert_eq!(cfg.bursts_for(129), 2);
-        assert_eq!(
-            cfg.bursts_for(0),
-            1,
-            "zero-length still needs a descriptor touch"
-        );
+        assert_eq!(cfg.bursts_for(0), 0, "an empty transfer moves no burst");
         assert_eq!(cfg.burst_words(129, 0), 32);
         assert_eq!(cfg.burst_words(129, 1), 1); // 1 byte → 1 word
         assert_eq!(cfg.burst_words(130, 1), 1);

@@ -2,8 +2,10 @@
 //! functional NIC.
 //!
 //! [`crate::nic::Nic`] is the adaptor; this is the kernel module that
-//! owns it. It adds the three resource disciplines every real driver
-//! imposes, each observable in tests:
+//! owns it. The line divides the work: the `Nic` owns reassembly, its
+//! timer included, and counts the cells it queues; the driver owns its
+//! rings and interrupts. It adds the three resource disciplines every
+//! real driver imposes, each observable in tests:
 //!
 //! * **Transmit ring** — a bounded descriptor ring. When it fills
 //!   (the line is slower than the application), `send` returns
@@ -14,10 +16,13 @@
 //!   host* (counted separately from every wire-level loss); buffers
 //!   return to the pool when the application consumes the packet.
 //! * **Interrupt coalescing** — completed receive packets are announced
-//!   in batches: an interrupt fires when `max_batch` packets are
-//!   pending or `max_delay` has passed since the first unannounced one.
-//!   The application only sees packets at interrupts, trading latency
-//!   for per-interrupt overhead exactly as R-F2's host table prices it.
+//!   in batches: an interrupt fires when `coalesce_packets` packets are
+//!   pending or `coalesce_delay` has passed since the first unannounced
+//!   one. The application only sees packets at interrupts, trading
+//!   latency for per-interrupt overhead exactly as R-F2's host table
+//!   prices it.
+//!
+//! Each direction keeps one ring in place: no call builds a collection.
 
 use crate::nic::{Nic, NicError, NicEvent};
 use hni_atm::VcId;
@@ -84,15 +89,16 @@ pub struct RxPacket {
 pub struct HostDriver {
     nic: Nic,
     cfg: DriverConfig,
-    /// SDUs accepted but not yet handed to the NIC's segmenter — the
-    /// descriptor ring (each entry = one in-flight packet until its
-    /// cells clear the TC queue).
-    tx_inflight: VecDeque<usize>, // cell counts per in-flight packet
-    /// Packets reassembled but not yet announced by an interrupt.
-    pending_rx: VecDeque<RxPacket>,
-    /// Packets announced, awaiting application consumption (each holds
-    /// one rx buffer).
-    announced_rx: VecDeque<RxPacket>,
+    /// The transmit descriptor ring, oldest first: the cell count of each
+    /// packet in flight until its cells clear the TC queue.
+    tx_ring: VecDeque<usize>,
+    /// Cells the transmit ring's descriptors hold in total.
+    tx_ring_cells: usize,
+    /// The receive ring, oldest first: every packet holding a host
+    /// buffer. The first `announced` await the application; the rest
+    /// wait for the next interrupt.
+    rx_ring: VecDeque<RxPacket>,
+    announced: usize,
     first_pending_at: Option<Time>,
     interrupts: u64,
     host_drops: u64,
@@ -105,9 +111,10 @@ impl HostDriver {
         HostDriver {
             nic,
             cfg,
-            tx_inflight: VecDeque::new(),
-            pending_rx: VecDeque::new(),
-            announced_rx: VecDeque::new(),
+            tx_ring: VecDeque::new(),
+            tx_ring_cells: 0,
+            rx_ring: VecDeque::new(),
+            announced: 0,
             first_pending_at: None,
             interrupts: 0,
             host_drops: 0,
@@ -133,40 +140,36 @@ impl HostDriver {
     }
     /// Transmit descriptors currently in flight.
     pub fn tx_in_flight(&self) -> usize {
-        self.tx_inflight.len()
+        self.tx_ring.len()
     }
 
     /// Send an SDU: occupies one transmit descriptor until the packet's
     /// cells have cleared the interface's transmit queue.
     pub fn send(&mut self, vc: VcId, sdu: Vec<u8>, now: Time) -> Result<(), DriverError> {
         self.reclaim_tx_descriptors();
-        if self.tx_inflight.len() >= self.cfg.tx_ring {
+        if self.tx_ring.len() >= self.cfg.tx_ring {
             return Err(DriverError::TxRingFull);
         }
-        let cells_before = self.nic.tx_backlog_cells();
-        self.nic.send(vc, sdu, now).map_err(DriverError::Nic)?;
-        let cells = self.nic.tx_backlog_cells() - cells_before;
-        self.tx_inflight.push_back(cells);
+        let cells = self.nic.send(vc, sdu, now).map_err(DriverError::Nic)?;
+        self.tx_ring.push_back(cells);
+        self.tx_ring_cells += cells;
         Ok(())
     }
 
     /// Free descriptors whose cells have left for the line.
     fn reclaim_tx_descriptors(&mut self) {
         // Descriptors complete in FIFO order as the TC queue drains: the
-        // backlog tells how many cells of the *newest* descriptors are
-        // still queued.
-        let mut backlog = self.nic.tx_backlog_cells();
-        let mut still_inflight = VecDeque::new();
-        while let Some(cells) = self.tx_inflight.pop_back() {
-            if backlog == 0 {
-                // This descriptor's cells are all on the line: complete.
-                continue;
+        // backlog counts the cells of the *newest* descriptors still
+        // queued, so the oldest is complete once the descriptors after
+        // it cover the backlog.
+        let backlog = self.nic.tx_backlog_cells();
+        while let Some(&oldest) = self.tx_ring.front() {
+            if self.tx_ring_cells - oldest < backlog {
+                break;
             }
-            let consumed = backlog.min(cells);
-            backlog -= consumed;
-            still_inflight.push_front(cells);
+            self.tx_ring.pop_front();
+            self.tx_ring_cells -= oldest;
         }
-        self.tx_inflight = still_inflight;
     }
 
     /// Clock tick: emit the next SONET frame for the line and update
@@ -182,19 +185,18 @@ impl HostDriver {
     /// [`HostDriver::poll_rx`].
     pub fn receive_line_octets(&mut self, octets: &[u8], now: Time) {
         self.nic.receive_line_octets(octets, now);
-        self.nic.expire(now);
         while let Some(ev) = self.nic.poll() {
             if let NicEvent::PacketReceived { vc, data, .. } = ev {
                 // A packet needs a host buffer from arrival, announced
                 // or not.
-                if self.pending_rx.len() + self.announced_rx.len() >= self.cfg.rx_buffers {
+                if self.rx_ring.len() >= self.cfg.rx_buffers {
                     self.host_drops += 1;
                     continue;
                 }
                 if self.first_pending_at.is_none() {
                     self.first_pending_at = Some(now);
                 }
-                self.pending_rx.push_back(RxPacket {
+                self.rx_ring.push_back(RxPacket {
                     vc,
                     data,
                     announced_at: Time::MAX, // set at interrupt
@@ -208,14 +210,15 @@ impl HostDriver {
 
     /// Fire the coalesced interrupt if due.
     fn maybe_interrupt(&mut self, now: Time) {
-        let due_count = self.pending_rx.len() >= self.cfg.coalesce_packets;
+        let pending = self.rx_ring.len() - self.announced;
+        let due_count = pending >= self.cfg.coalesce_packets;
         let due_time = matches!(self.first_pending_at, Some(t0) if now.saturating_since(t0) >= self.cfg.coalesce_delay);
-        if !self.pending_rx.is_empty() && (due_count || due_time) {
+        if pending > 0 && (due_count || due_time) {
             self.interrupts += 1;
-            while let Some(mut p) = self.pending_rx.pop_front() {
+            for p in self.rx_ring.range_mut(self.announced..) {
                 p.announced_at = now;
-                self.announced_rx.push_back(p);
             }
+            self.announced = self.rx_ring.len();
             self.first_pending_at = None;
         }
     }
@@ -223,7 +226,11 @@ impl HostDriver {
     /// Application read: take the next announced packet, returning its
     /// buffer to the pool.
     pub fn poll_rx(&mut self) -> Option<RxPacket> {
-        self.announced_rx.pop_front()
+        if self.announced == 0 {
+            return None;
+        }
+        self.announced -= 1;
+        self.rx_ring.pop_front()
     }
 }
 

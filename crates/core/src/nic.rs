@@ -6,6 +6,11 @@
 //! and parity — the full data path a packet crosses between host memory
 //! and the optical line, with every error-detection layer live.
 //!
+//! The `Nic` owns its reassembly timer: every line delivery ends with
+//! one [`Nic::expire`] scan at the delivery's clock, so a stalled
+//! chain's timeout surfaces at the first delivery past it without the
+//! host driving a clock of its own.
+//!
 //! Two `Nic`s connected back-to-back (optionally through a lossy
 //! [`hni_sim::Link`]) form the canonical end-to-end setup used by the
 //! integration tests and the runnable examples:
@@ -119,8 +124,6 @@ pub struct Nic {
     reasm5: Aal5Reassembler,
     reasm34: Aal34Reassembler,
     events: VecDeque<NicEvent>,
-    // Last time the receive path ran the reassembly-expiry scan.
-    last_expiry_scan: Time,
     // Transmit-side cell arena + handle scratch: segmentation goes
     // through the slab, so steady-state sends allocate nothing per cell.
     tx_slab: CellSlab,
@@ -146,7 +149,6 @@ impl Nic {
             reasm5: Aal5Reassembler::new(cfg.max_sdu, cfg.reassembly_timeout),
             reasm34: Aal34Reassembler::new(cfg.max_sdu, cfg.reassembly_timeout),
             events: VecDeque::new(),
-            last_expiry_scan: Time::ZERO,
             tx_slab: CellSlab::new(),
             tx_refs: Vec::new(),
             rx_cells: Vec::new(),
@@ -168,22 +170,24 @@ impl Nic {
         }
     }
 
-    /// Segment and queue an SDU for transmission on `vc`.
+    /// Segment and queue an SDU for transmission on `vc`. Returns the
+    /// number of cells queued.
     ///
     /// AAL3/4 connections use MID 0 by default; see
     /// [`Nic::send_with_mid`].
-    pub fn send(&mut self, vc: VcId, sdu: Vec<u8>, now: Time) -> Result<(), NicError> {
+    pub fn send(&mut self, vc: VcId, sdu: Vec<u8>, now: Time) -> Result<usize, NicError> {
         self.send_with_mid(vc, 0, sdu, now)
     }
 
-    /// Segment and queue an SDU with an explicit AAL3/4 MID.
+    /// Segment and queue an SDU with an explicit AAL3/4 MID. Returns the
+    /// number of cells queued.
     pub fn send_with_mid(
         &mut self,
         vc: VcId,
         mid: u16,
         sdu: Vec<u8>,
         _now: Time,
-    ) -> Result<(), NicError> {
+    ) -> Result<usize, NicError> {
         if matches!(self.cam.lookup(vc), CamResult::Miss) {
             return Err(NicError::VcNotOpen);
         }
@@ -204,9 +208,10 @@ impl Nic {
             self.tc_tx.push_cell(self.tx_slab.get(r));
         }
         self.tx_slab.free_all(&refs);
+        let cells = refs.len();
         self.tx_refs = refs;
         self.sdus_sent += 1;
-        Ok(())
+        Ok(cells)
     }
 
     /// Produce the next 125 µs SONET frame for the line (call every
@@ -289,7 +294,7 @@ impl Nic {
     }
 
     /// Feed octets received from the line; events become available via
-    /// [`Nic::poll`].
+    /// [`Nic::poll`]. Ends with the reassembly-expiry scan at `now`.
     pub fn receive_line_octets(&mut self, octets: &[u8], now: Time) {
         // The cell scratch is a reused field: no per-delivery allocation
         // once the working set is warm. Taken out of `self` so the
@@ -301,7 +306,7 @@ impl Nic {
             self.receive_cell(cell, now);
         }
         self.rx_cells = cells;
-        self.maybe_expire(now);
+        self.expire(now);
     }
 
     /// The per-cell receive body behind [`Nic::receive_line_octets`]:
@@ -342,7 +347,8 @@ impl Nic {
         }
     }
 
-    /// Enforce the reassembly timeout; call periodically with the clock.
+    /// Enforce the reassembly timeout at `now`. Every line delivery
+    /// already runs it; call it directly only to advance an idle clock.
     /// Scans only the configured AAL's reassembler: the receive path
     /// feeds no other, so no other can hold a partial frame.
     pub fn expire(&mut self, now: Time) {
@@ -352,21 +358,6 @@ impl Nic {
         };
         self.events
             .extend(expired.into_iter().map(NicEvent::ReceiveError));
-    }
-
-    /// Run [`Nic::expire`] if at least half the reassembly timeout has
-    /// passed since the last scan. The receive path calls this on every
-    /// line delivery, so stalled chains surface as timeout errors
-    /// without the host having to drive a separate clock; the
-    /// half-timeout cadence keeps the scan off the per-cell fast path.
-    fn maybe_expire(&mut self, now: Time) {
-        let timeout = self.cfg.reassembly_timeout;
-        if timeout > hni_sim::Duration::ZERO
-            && now.saturating_since(self.last_expiry_scan).as_ps() >= timeout.as_ps() / 2
-        {
-            self.last_expiry_scan = now;
-            self.expire(now);
-        }
     }
 
     /// Next pending event, if any.
@@ -547,6 +538,43 @@ mod tests {
             }
         }
         assert!(saw_timeout);
+    }
+
+    #[test]
+    fn stalled_chain_times_out_at_the_first_delivery_past_the_timeout() {
+        let (mut a, mut b, vc) = pair(AalType::Aal5);
+        a.open_vc(vc).unwrap();
+        b.open_vc(vc).unwrap();
+        pump(&mut a, &mut b, 12);
+        // The first frame's worth of a large SDU arrives at 0; the line
+        // loses the rest.
+        a.send(vc, vec![3; 40_000], Time::ZERO).unwrap();
+        let f = a.frame_tick();
+        b.receive_line_octets(&f, Time::ZERO);
+        while a.tx_backlog_cells() > 0 {
+            let _lost = a.frame_tick();
+        }
+        // Idle frames every 125 µs: the chain is abandoned once more than
+        // the timeout has passed, so at the first delivery past it.
+        let timeout = NicConfig::paper(LineRate::Oc3).reassembly_timeout;
+        let frame = hni_sim::Duration::from_us(125);
+        let mut surfaced = None;
+        for i in 1..=2 * timeout.as_ps() / frame.as_ps() {
+            let now = Time::ZERO + frame.times(i);
+            let f = a.frame_tick();
+            b.receive_line_octets(&f, now);
+            if let Some(e) = b.poll() {
+                match e {
+                    NicEvent::ReceiveError(f) => {
+                        assert_eq!(f.error, hni_aal::ReassemblyError::Timeout)
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+                surfaced = Some(now);
+                break;
+            }
+        }
+        assert_eq!(surfaced, Some(Time::ZERO + timeout + frame));
     }
 
     #[test]

@@ -436,11 +436,7 @@ pub fn run_rx_full(
             fate.open(m.conn as u32, p, m.cells as u32);
             Dma {
                 issued: 0,
-                total: if m.len == 0 {
-                    0
-                } else {
-                    cfg.bus.bursts_for(m.len)
-                },
+                total: cfg.bus.bursts_for(m.len),
             }
         })
         .collect();

@@ -639,11 +639,7 @@ fn start_next_packet(
     let idx = ctx.waiting.pop_front().expect("caller checked non-empty");
     let p = &packets[idx];
     let cells_total = cfg.aal.cells_for_sdu(p.len);
-    let bursts_total = if p.len == 0 {
-        0
-    } else {
-        cfg.bus.bursts_for(p.len)
-    };
+    let bursts_total = cfg.bus.bursts_for(p.len);
     if cfg.pacing {
         let pcr = p.pcr.unwrap_or_else(|| cfg.rate.cell_slots_per_second());
         // Fresh GCRA per VC, persistent across its packets.

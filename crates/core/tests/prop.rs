@@ -8,11 +8,12 @@ use hni_core::bufpool::{BufferPool, PoolConfig};
 use hni_core::engine::HwPartition;
 use hni_core::rxsim::{run_rx, RxConfig, RxWorkload};
 use hni_core::txsim::{run_tx, TxConfig, TxPacket};
-use hni_core::{Nic, NicConfig, NicEvent};
+use hni_core::{DriverConfig, DriverError, HostDriver, Nic, NicConfig, NicEvent, RxPacket};
 use hni_sim::link::apply_bit_errors;
 use hni_sim::{Duration, Rng, Time};
 use hni_sonet::LineRate;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn arb_partition() -> impl Strategy<Value = HwPartition> {
     prop_oneof![
@@ -390,5 +391,158 @@ proptest! {
         // Some SDUs survived, so the line reached reassembly.
         prop_assert!(delivered > 0);
         arbitrary_cells_into_reassemblers(&mut rng, 5_000);
+    }
+}
+
+/// The transmit ring as a newest-first walk: the backlog is charged to
+/// the newest descriptors first, and each descriptor it no longer
+/// reaches is complete. `ring` holds cells per descriptor, oldest first.
+fn newest_first_walk(ring: &mut VecDeque<usize>, backlog: usize) {
+    let mut left = backlog;
+    let mut kept = VecDeque::new();
+    while let Some(cells) = ring.pop_back() {
+        if left > 0 {
+            left -= left.min(cells);
+            kept.push_front(cells);
+        }
+    }
+    *ring = kept;
+}
+
+/// The receive side as two queues: packets waiting for an interrupt,
+/// then packets announced and waiting for the application.
+#[derive(Default)]
+struct RxModel {
+    pending: VecDeque<RxPacket>,
+    announced: VecDeque<RxPacket>,
+    first_pending_at: Option<Time>,
+    interrupts: u64,
+    drops: u64,
+}
+
+impl RxModel {
+    fn deliver(&mut self, nic: &mut Nic, cfg: &DriverConfig, now: Time) {
+        while let Some(ev) = nic.poll() {
+            if let NicEvent::PacketReceived { vc, data, .. } = ev {
+                if self.pending.len() + self.announced.len() >= cfg.rx_buffers {
+                    self.drops += 1;
+                    continue;
+                }
+                self.first_pending_at.get_or_insert(now);
+                self.pending.push_back(RxPacket {
+                    vc,
+                    data,
+                    announced_at: Time::MAX,
+                });
+            }
+        }
+        self.interrupt(cfg, now);
+    }
+
+    fn interrupt(&mut self, cfg: &DriverConfig, now: Time) {
+        let due_count = self.pending.len() >= cfg.coalesce_packets;
+        let due_time = matches!(self.first_pending_at,
+            Some(t0) if now.saturating_since(t0) >= cfg.coalesce_delay);
+        if !self.pending.is_empty() && (due_count || due_time) {
+            self.interrupts += 1;
+            while let Some(mut p) = self.pending.pop_front() {
+                p.announced_at = now;
+                self.announced.push_back(p);
+            }
+            self.first_pending_at = None;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The driver's rings decide as the newest-first walk and the
+    /// two-queue receive side do, under random interleavings of SDU
+    /// sends on four VCs, raw and OAM cells that hold no descriptor,
+    /// frame ticks and application reads: the same descriptors in
+    /// flight and `TxRingFull` decisions after every call, and the same
+    /// packets, announcement times, interrupts and host drops.
+    #[test]
+    fn driver_rings_match_the_reference_driver(seed in any::<u64>()) {
+        let mut rng = Rng::new(seed);
+        let tx_cfg = DriverConfig {
+            tx_ring: 1 + rng.below(64) as usize,
+            ..DriverConfig::default()
+        };
+        let rx_cfg = DriverConfig {
+            rx_buffers: 1 + rng.below(16) as usize,
+            coalesce_packets: 1 + rng.below(8) as usize,
+            coalesce_delay: Duration::from_us(rng.below(1_000)),
+            ..DriverConfig::default()
+        };
+        let ncfg = NicConfig::paper(LineRate::Oc3);
+        let mut a = HostDriver::new(Nic::new(ncfg.clone()), tx_cfg);
+        let mut b = HostDriver::new(Nic::new(ncfg.clone()), rx_cfg);
+        // A bare `Nic` on the same line shows the events b's driver takes.
+        let mut mirror = Nic::new(ncfg);
+        let vcs: Vec<VcId> = (32..36).map(|vci| VcId::new(0, vci)).collect();
+        for &vc in &vcs {
+            a.nic_mut().open_vc(vc).unwrap();
+            b.nic_mut().open_vc(vc).unwrap();
+            mirror.open_vc(vc).unwrap();
+        }
+        let mut ring = VecDeque::new();
+        let mut rx = RxModel::default();
+        let mut now = Time::ZERO;
+        for _ in 0..400 {
+            let vc = vcs[rng.below(4) as usize];
+            match rng.below(10) {
+                0..=3 => {
+                    let most = if rng.chance(0.5) { 12 } else { 200 };
+                    let cells = 1 + rng.below(most) as usize;
+                    let len = (48 * cells - 8).saturating_sub(rng.below(48) as usize);
+                    prop_assert_eq!(AalType::Aal5.cells_for_sdu(len), cells);
+                    let backlog = a.nic().tx_backlog_cells();
+                    newest_first_walk(&mut ring, backlog);
+                    match a.send(vc, vec![cells as u8; len], now) {
+                        Ok(()) => {
+                            prop_assert!(ring.len() < tx_cfg.tx_ring);
+                            prop_assert_eq!(a.nic().tx_backlog_cells(), backlog + cells);
+                            ring.push_back(cells);
+                        }
+                        Err(e) => {
+                            prop_assert_eq!(e, DriverError::TxRingFull);
+                            prop_assert_eq!(ring.len(), tx_cfg.tx_ring);
+                        }
+                    }
+                }
+                4 => {
+                    let header = HeaderRepr::data(vc, rng.chance(0.5));
+                    a.nic_mut()
+                        .inject_cell(&Cell::new(&header, &[7; PAYLOAD_SIZE]).unwrap());
+                }
+                5 => a.nic_mut().send_oam_loopback(vc, rng.next_u64() as u32).unwrap(),
+                6 => {
+                    for _ in 0..rng.below(4) {
+                        prop_assert_eq!(b.poll_rx(), rx.announced.pop_front());
+                    }
+                }
+                _ => {
+                    let frame = a.frame_tick(now);
+                    newest_first_walk(&mut ring, a.nic().tx_backlog_cells());
+                    let _ = b.frame_tick(now);
+                    rx.interrupt(&rx_cfg, now);
+                    b.receive_line_octets(&frame, now);
+                    mirror.receive_line_octets(&frame, now);
+                    rx.deliver(&mut mirror, &rx_cfg, now);
+                    now += Duration::from_us(125);
+                }
+            }
+            prop_assert_eq!(a.tx_in_flight(), ring.len());
+            prop_assert_eq!(b.interrupts(), rx.interrupts);
+            prop_assert_eq!(b.host_drops(), rx.drops);
+        }
+        // Some packets made it through b's driver to the application.
+        prop_assert!(b.interrupts() > 0);
+        while let Some(p) = rx.announced.pop_front() {
+            prop_assert_eq!(b.poll_rx(), Some(p));
+        }
+        prop_assert_eq!(b.poll_rx(), None);
     }
 }

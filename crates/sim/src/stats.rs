@@ -140,8 +140,7 @@ pub struct Pcts {
 /// latency-tail questions the experiments ask, at constant memory.
 /// Count, sum (hence mean), min and max are tracked exactly, outside the
 /// buckets. Recording is a shift, an index and a few adds, with no
-/// allocation, so it stays on at line rate; merging the shards of a
-/// parallel run is exact.
+/// allocation, so it stays on at line rate.
 #[derive(Clone)]
 pub struct Histogram {
     buckets: [u64; HIST_BUCKETS],
@@ -231,7 +230,7 @@ impl Histogram {
 
     /// The raw log₂ bucket counts (`buckets[i]` holds samples with
     /// `⌊log₂ v⌋ == i`; bucket 0 also holds `v == 0`). Exposed for
-    /// mergeable exports (Prometheus cumulative buckets).
+    /// the Prometheus export's cumulative buckets.
     pub fn bucket_counts(&self) -> &[u64; HIST_BUCKETS] {
         &self.buckets
     }
@@ -244,19 +243,6 @@ impl Histogram {
         } else {
             (2u64 << i) - 1
         }
-    }
-
-    /// Fold another histogram into this one. Bucket-wise addition —
-    /// merging the shards of a parallel run is exact (the merged
-    /// histogram equals the histogram of the concatenated samples).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Upper bound of the bucket containing the `q`-quantile sample
@@ -470,30 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_max_is_exact_and_merge_is_concatenation() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in [3u64, 100, 999] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [0u64, 7, 1_000_000] {
-            b.record(v);
-            all.record(v);
-        }
-        assert_eq!(a.max(), 999);
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.sum(), all.sum());
-        assert_eq!(a.max(), 1_000_000, "merge keeps the larger exact max");
-        assert_eq!(a.bucket_counts(), all.bucket_counts());
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), all.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
     fn percentile_band_orders_and_bounds() {
         let mut h = Histogram::new();
         for _ in 0..900 {
@@ -516,33 +478,6 @@ mod tests {
         assert_eq!(h.min(), 1_000, "min is exact, not a bucket bound");
         assert!(p.p50 <= p.p90 && p.p90 <= p.p99 && p.p99 <= p.p999);
         assert!(p.p999 as f64 <= p.max as f64 * 2.0);
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for v in 0..500u64 {
-            a.record(v * 3);
-            whole.record(v * 3);
-        }
-        for v in 0..500u64 {
-            b.record(v * v);
-            whole.record(v * v);
-        }
-        a.merge(&b);
-        assert_eq!(a.pcts(), whole.pcts());
-        assert_eq!(a.min(), whole.min());
-        // Exact min: the merge keeps the smaller one, and an empty
-        // shard (whose min reads 0) leaves it alone.
-        let (mut hi, mut lo) = (Histogram::new(), Histogram::new());
-        hi.record(500);
-        lo.record(9);
-        hi.merge(&lo);
-        assert_eq!(hi.min(), 9, "merge keeps the smaller exact min");
-        hi.merge(&Histogram::new());
-        assert_eq!(hi.min(), 9, "an empty shard leaves min alone");
     }
 
     #[test]

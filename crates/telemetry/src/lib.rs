@@ -37,8 +37,7 @@
 //! metrics are read from the report, not rebuilt from a trace:
 //!
 //! * [`hni_sim::Histogram`] — fixed 64-bucket log₂ latency histograms
-//!   with p50/p90/p99/p999 bands and exact min and max, mergeable across
-//!   workers.
+//!   with p50/p90/p99/p999 bands and exact min and max.
 //! * [`topk`] — per-VC accounting at bounded cardinality: exact
 //!   sharded volume counters plus a space-saving top-K heavy-hitter
 //!   tracker, O(K) memory at million-VC scale.
@@ -55,8 +54,7 @@
 //!   that rebuilds the R-F3 per-stage latency breakdown directly from
 //!   trace spans, splitting every stage into queue-wait vs service
 //!   time; partial lives (dropped packets) stay attributable. `report
-//!   exemplars <id>` names the slowest traced lives and a
-//!   deterministic identity sample of them from this index.
+//!   exemplars <id>` names the slowest traced lives from this index.
 //! * [`tailattr`] — [`attribute_tail`], the cohort critical-path
 //!   attributor: tail vs median cohorts over the span index, stages
 //!   ranked by excess, rendered as a blame table and Prometheus

@@ -18,10 +18,7 @@
 //!
 //! Cohorts here are exact order statistics over retained totals — not
 //! `Histogram` buckets, whose log2 quantization can misplace packets
-//! near a cohort edge by up to 2×. The histogram threshold is only
-//! used by `report exemplars`, whose p99+ cohort is the part of a
-//! deterministic identity sample at or above the end-to-end
-//! histogram's p99 bound.
+//! near a cohort edge by up to 2×.
 
 use crate::spans::{PacketSpans, STAGE_LABELS};
 use hni_sim::Duration;

@@ -19,9 +19,8 @@
 //!   the true count by at most the slot's recorded `err`.
 //!
 //! Both structures are deterministic (no hashing randomness — the shard
-//! mix is a fixed integer permutation), allocation-free after
-//! construction, and `merge`-able in the weaker heavy-hitter sense
-//! (counts add; error bounds add conservatively).
+//! mix is a fixed integer permutation) and allocation-free after
+//! construction.
 
 use crate::sampler::mix64;
 
@@ -82,14 +81,6 @@ impl VcShards {
     /// Largest single-shard cell count.
     pub fn max_shard_cells(&self) -> u64 {
         self.cells.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Fold another shard set in (exact: counters add).
-    pub fn merge(&mut self, other: &VcShards) {
-        for i in 0..VC_SHARDS {
-            self.cells[i] += other.cells[i];
-            self.bytes[i] += other.bytes[i];
-        }
     }
 }
 
@@ -181,8 +172,7 @@ impl TopK {
         self.last_idx = mi;
     }
 
-    /// Total weight offered directly to this tracker (exact); a merge
-    /// adds the other tracker's *tracked* weight.
+    /// Total weight offered to this tracker (exact).
     pub fn total(&self) -> u64 {
         self.total
     }
@@ -208,44 +198,6 @@ impl TopK {
         } else {
             self.slots.iter().map(|e| e.count).min().unwrap_or(0)
         }
-    }
-
-    /// Fold another tracker in: counts for shared keys add exactly;
-    /// distinct keys are re-offered with their (count, err) carried as
-    /// a conservative bound. The result keeps the heavy-hitter
-    /// guarantee with error bounds at most `err_a + err_b + min_count`.
-    pub fn merge(&mut self, other: &TopK) {
-        for e in other.top() {
-            self.offer_with_err(e.key, e.count, e.err);
-        }
-    }
-
-    fn offer_with_err(&mut self, key: u32, w: u64, err: u64) {
-        self.total += w;
-        if let Some(i) = self.slots.iter().position(|e| e.key == key) {
-            self.slots[i].count += w;
-            self.slots[i].err += err;
-            self.last_idx = i;
-            return;
-        }
-        if self.slots.len() < self.k {
-            self.last_idx = self.slots.len();
-            self.slots.push(TopEntry { key, count: w, err });
-            return;
-        }
-        let (mi, min) = self
-            .slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.count)
-            .map(|(i, e)| (i, e.count))
-            .expect("k >= 1");
-        self.slots[mi] = TopEntry {
-            key,
-            count: min + w,
-            err: min + err,
-        };
-        self.last_idx = mi;
     }
 }
 
@@ -356,49 +308,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_preserves_totals_and_shared_keys_add() {
-        let mut a = TopK::new(4);
-        let mut b = TopK::new(4);
-        for _ in 0..100 {
-            a.offer(1, 1);
-            b.offer(1, 1);
-            b.offer(2, 1);
-        }
-        let (ta, tb) = (a.total(), b.total());
-        a.merge(&b);
-        assert_eq!(a.total(), ta + tb);
-        let top = a.top();
-        assert_eq!(
-            top[0],
-            TopEntry {
-                key: 1,
-                count: 200,
-                err: 0
-            }
-        );
-        assert_eq!(
-            top[1],
-            TopEntry {
-                key: 2,
-                count: 100,
-                err: 0
-            }
-        );
-    }
-
-    #[test]
-    fn shards_total_is_exact_and_merge_adds() {
+    fn shards_total_is_exact() {
         let mut s = VcShards::new();
         for vc in 0..1000u32 {
             s.record(vc, 53);
         }
         assert_eq!(s.total_cells(), 1000);
         assert_eq!(s.total_bytes(), 53_000);
-        let mut t = VcShards::new();
-        t.record(5, 48);
-        t.merge(&s);
-        assert_eq!(t.total_cells(), 1001);
-        assert_eq!(t.total_bytes(), 53_048);
         // Same VC always lands in the same shard.
         assert_eq!(VcShards::shard_of(5), VcShards::shard_of(5));
     }

@@ -645,9 +645,10 @@ impl Sim {
                 },
             );
             if fate.duplicated {
-                // The wire made a copy: it owes its own fate, arrives
-                // one slot later and is never the frame's end (the
-                // inflated cell count is validation's problem).
+                // The wire made a copy: the cell as sent (the bit flips
+                // hit the first copy only), one slot later and never the
+                // frame's end (the inflated cell count is validation's
+                // problem).
                 self.fate.ledger.injected += 1;
                 if retx {
                     self.fate.ledger.injected_retx += 1;
@@ -658,7 +659,7 @@ impl Sim {
                         attempt,
                         cell,
                         is_last: false,
-                        corrupted,
+                        corrupted: false,
                     },
                 );
             }

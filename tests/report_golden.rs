@@ -99,9 +99,11 @@ const CAPABILITY_DIGESTS: [(&str, u64); 32] = [
     ("topvc r-f2", 0x4b9ca224d4ad61c3),
     ("topvc r-f3", 0x41ae831e260993d4),
     ("topvc r-w1", 0xc525e734541e4042),
-    // Header line only, as for topvc.
-    ("tail r-f3", 0x96f299c55a4fcc7e),
-    ("exemplars r-f3", 0x47cbe18d639ce9f0),
+    // Repinned when the exemplars' never-filled p99+ cohort went: the
+    // exemplars header lost its sample clause and the cohort line, the
+    // tail header its sentence about that cohort.
+    ("tail r-f3", 0x805a08a57e72439a),
+    ("exemplars r-f3", 0x469723ff47e53957),
     ("diff r-f3 r-f3", 0x169dff89503aaf52),
 ];
 
