@@ -1,20 +1,21 @@
 //! R-F5: goodput under cell loss — analytic curves validated by the
-//! byte-exact functional path through a lossy link.
+//! byte-exact functional path through the NIC's faulted ingress.
 
 use crate::table::{fmt_bps, Table};
 use hni_aal::AalType;
 use hni_analysis::loss::{default_loss_grid, goodput_under_loss};
 use hni_atm::VcId;
 use hni_core::{Nic, NicConfig, NicEvent};
-use hni_sim::{FaultPlan, Link, LinkDelivery, Rng, Time};
+use hni_sim::{FaultInjector, FaultPlan, Time};
 use hni_sonet::LineRate;
 
 /// Functional validation of the analytic survival curve: `n_frames`
 /// frames of `len` octets are segmented to real cells, each cell is
-/// offered to a per-cell lossy [`Link`] (the loss process the analytic
-/// model assumes — switch-buffer discard, not line damage), and the
-/// survivors travel NIC A → SONET frames → NIC B through the byte-exact
-/// TC/reassembly path.
+/// offered to NIC A's faulted ingress ([`Nic::inject_cell_faulted`]),
+/// which drops it per an i.i.d. loss plan (the loss process the
+/// analytic model assumes — switch-buffer discard, not line damage),
+/// and the survivors travel NIC A → SONET frames → NIC B through the
+/// byte-exact TC/reassembly path.
 ///
 /// Returns the fraction of frames delivered intact.
 pub fn functional_survival(aal: AalType, len: usize, loss: f64, n_frames: usize, seed: u64) -> f64 {
@@ -26,16 +27,11 @@ pub fn functional_survival(aal: AalType, len: usize, loss: f64, n_frames: usize,
     a.open_vc(vc).unwrap();
     b.open_vc(vc).unwrap();
 
-    // Cell-level lossy link (rate irrelevant to survival). The loss
-    // process is the degenerate one-state fault plan — i.i.d. loss and
-    // nothing else — which is exactly what the analytic survival model
-    // assumes; the full Gilbert–Elliott machinery sits idle here.
-    let mut link = Link::new(
-        1e9,
-        hni_sim::Duration::ZERO,
-        FaultPlan::loss(loss),
-        Rng::new(seed),
-    );
+    // The loss process is the degenerate one-state fault plan — i.i.d.
+    // loss and nothing else — which is exactly what the analytic
+    // survival model assumes; the full Gilbert–Elliott machinery sits
+    // idle here.
+    let mut inj = FaultInjector::seeded(FaultPlan::loss(loss), seed);
     let mut seg34 = hni_aal::aal34::Aal34Segmenter::new();
 
     // Warm both TC paths up via direct frames.
@@ -55,17 +51,10 @@ pub fn functional_survival(aal: AalType, len: usize, loss: f64, n_frames: usize,
             // as on a real VC.
             AalType::Aal34 => seg34.segment(vc, 0, &payload),
         };
-        // Carry each cell across the lossy link; survivors go through
-        // b's TC/reassembly via a private framing hop on `a`.
-        let mut t = Time::ZERO;
+        // Survivors of the faulted ingress go through b's
+        // TC/reassembly via a private framing hop on `a`.
         for cell in &cells {
-            match link.send(t, 424) {
-                LinkDelivery::Delivered { .. } => {
-                    a.inject_cell(cell);
-                }
-                LinkDelivery::Lost => {}
-            }
-            t = link.next_free();
+            a.inject_cell_faulted(cell, &mut inj);
         }
         // Flush enough frames to move the surviving cells.
         let frames_needed = (cells.len() * 53) / LineRate::Oc3.payload_octets_per_frame() + 2;

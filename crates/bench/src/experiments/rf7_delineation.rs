@@ -13,7 +13,7 @@
 use crate::table::Table;
 use hni_atm::{Cell, Delineator, HeaderRepr, VcId, CELL_SIZE, PAYLOAD_SIZE};
 use hni_sim::link::apply_bit_errors;
-use hni_sim::Rng;
+use hni_sim::{FaultInjector, FaultPlan, Rng};
 
 /// BER grid.
 pub const BERS: [f64; 5] = [0.0, 1e-6, 1e-5, 1e-4, 1e-3];
@@ -80,31 +80,13 @@ fn shift_stream(bytes: &[u8], shift_bits: usize) -> Vec<u8> {
     out
 }
 
-fn apply_ber(stream: &mut [u8], ber: f64, rng: &mut Rng) {
-    if ber <= 0.0 {
-        return;
-    }
-    let total_bits = stream.len() as u64 * 8;
-    let mut pos = 0u64;
-    let mut flips = Vec::new();
-    loop {
-        let gap = rng.geometric(ber);
-        pos = match pos.checked_add(gap) {
-            Some(p) if p <= total_bits => p,
-            _ => break,
-        };
-        flips.push(pos - 1);
-    }
-    apply_bit_errors(stream, &flips);
-}
-
 /// Run one BER point over `cells` cells, with the whole stream shifted
 /// right by `shift_bits` (0 = byte-aligned).
 pub fn measure_at_offset(ber: f64, cells: usize, seed: u64, shift_bits: usize) -> Point {
     let mut stream = shift_stream(&cell_stream(cells), shift_bits);
-    // Apply i.i.d. bit errors via geometric gap sampling.
-    let mut rng = Rng::new(seed);
-    apply_ber(&mut stream, ber, &mut rng);
+    // i.i.d. bit errors: one fate over the whole stream.
+    let fate = FaultInjector::seeded(FaultPlan::ber(ber), seed).fate(stream.len() as u64 * 8);
+    apply_bit_errors(&mut stream, &fate.flipped_bits);
     let mut d = Delineator::new();
     let mut out = Vec::new();
     d.push_slice(&stream, &mut out);

@@ -13,11 +13,11 @@
 //!   payloads plus a validity map per buffer; fewer, larger allocations,
 //!   some waste at frame tails.
 //!
-//! The pool tracks exactly what buffer-sizing decisions need: buffers in
-//! use over time (time-weighted mean and peak). A refused append means a
-//! cell had nowhere to land — the frame is lost to *memory* pressure,
-//! not link errors; real interfaces under-provisioned this and the loss
-//! was mysterious at the time.
+//! The pool tracks exactly what buffer-sizing decisions need: the peak
+//! number of buffers in use. A refused append means a cell had nowhere
+//! to land — the frame is lost to *memory* pressure, not link errors;
+//! real interfaces under-provisioned this and the loss was mysterious at
+//! the time.
 //!
 //! ## Discard policies
 //!
@@ -224,10 +224,6 @@ impl BufferPool {
     pub fn peak_in_use(&self) -> u64 {
         self.occupancy.peak()
     }
-    /// Time-weighted mean buffers in use over `[0, end]`.
-    pub fn mean_in_use(&self, end: Time) -> f64 {
-        self.occupancy.mean(end)
-    }
 }
 
 #[cfg(test)]
@@ -292,9 +288,6 @@ mod tests {
         p.append_cell(Time::ZERO, 0).unwrap();
         p.release_chain(Time::from_us(1), 0);
         assert_eq!(p.peak_in_use(), 2);
-        // 2 buffers for 1 µs, 0 for 1 µs → mean 1.
-        let mean = p.mean_in_use(Time::from_us(2));
-        assert!((mean - 1.0).abs() < 1e-9, "{mean}");
     }
 
     #[test]

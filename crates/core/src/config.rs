@@ -18,7 +18,9 @@ pub struct NicConfig {
     pub cam_capacity: usize,
     /// Largest SDU accepted.
     pub max_sdu: usize,
-    /// Receive reassembly timeout.
+    /// Receive reassembly timeout: a frame whose first cell arrived
+    /// more than this long ago is abandoned at the next line delivery.
+    /// Must be positive ([`crate::Nic::new`] panics on zero).
     pub reassembly_timeout: Duration,
 }
 

@@ -75,8 +75,8 @@ pub struct CellLedger {
     pub discarded_crc: u64,
     /// Cells of chains purged by the reassembly-expiry timer.
     pub discarded_expired: u64,
-    /// Cells of doomed frames abandoned at end of frame (or when the
-    /// run drained with the expiry timer disabled).
+    /// Cells of doomed frames abandoned at end of frame, and cells
+    /// stored or still on the wire when a closed loop was cut off.
     pub discarded_abandoned: u64,
     /// Cells of frames that reassembled and validated intact but whose
     /// payload an earlier transmission had already delivered (spurious
@@ -431,8 +431,8 @@ impl FrameFates {
         any_open
     }
 
-    /// Settle every frame still open when the run ends (the expiry
-    /// timer disabled, or a closed loop cut off): its stored cells are
+    /// Settle every frame still open when the run ends (a closed loop
+    /// cut off before the expiry timer reached it): its stored cells are
     /// abandoned and the frame fails.
     pub fn drain(&mut self, now: Time, profiler: &mut dyn Profiler) {
         for key in self.floor..self.frames.len() {

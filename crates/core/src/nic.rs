@@ -11,9 +11,13 @@
 //! chain's timeout surfaces at the first delivery past it without the
 //! host driving a clock of its own.
 //!
-//! Two `Nic`s connected back-to-back (optionally through a lossy
-//! [`hni_sim::Link`]) form the canonical end-to-end setup used by the
-//! integration tests and the runnable examples:
+//! Faults reach the bytes through a [`FaultInjector`]: per cell at the
+//! faulted ingress ([`Nic::inject_cell_faulted`]), or as one fate over a
+//! whole SONET frame, whose flipped bits the caller applies on the line
+//! with [`hni_sim::link::apply_bit_errors`].
+//!
+//! Two `Nic`s connected back-to-back form the canonical end-to-end setup
+//! used by the integration tests and the runnable examples:
 //!
 //! ```
 //! use hni_core::{Nic, NicConfig, NicEvent};
@@ -56,7 +60,7 @@ use hni_aal::aal5::{self, Aal5Reassembler};
 use hni_aal::{AalType, ReassemblyFailure};
 use hni_atm::{Cell, CellRef, CellSlab, VcId, CELL_SIZE};
 use hni_sim::link::apply_bit_errors;
-use hni_sim::{FaultInjector, Time, UnitFate};
+use hni_sim::{Duration, FaultInjector, Time, UnitFate};
 use hni_sonet::{TcReceiver, TcTransmitter};
 use std::collections::VecDeque;
 
@@ -139,7 +143,16 @@ pub struct Nic {
 
 impl Nic {
     /// Build an interface per `cfg`.
+    ///
+    /// # Panics
+    /// If `cfg.reassembly_timeout` is zero: every delivery ends with an
+    /// expiry scan, so a zero timeout would abandon every chain that
+    /// spans two deliveries.
     pub fn new(cfg: NicConfig) -> Self {
+        assert!(
+            cfg.reassembly_timeout > Duration::ZERO,
+            "reassembly timeout must be positive"
+        );
         Nic {
             cam: Cam::new(cfg.cam_capacity),
             next_conn_index: 0,
@@ -538,6 +551,15 @@ mod tests {
             }
         }
         assert!(saw_timeout);
+    }
+
+    #[test]
+    #[should_panic(expected = "reassembly timeout must be positive")]
+    fn zero_reassembly_timeout_is_rejected() {
+        Nic::new(NicConfig {
+            reassembly_timeout: Duration::ZERO,
+            ..NicConfig::paper(LineRate::Oc3)
+        });
     }
 
     #[test]

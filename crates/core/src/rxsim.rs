@@ -78,8 +78,8 @@ pub struct RxConfig {
     pub aal: AalType,
     /// Buffer discard policy under pool pressure.
     pub policy: DiscardPolicy,
-    /// Purge reassembly chains idle this long ([`Duration::ZERO`]
-    /// disables the timer).
+    /// Purge reassembly chains idle this long. Must be positive
+    /// ([`run_rx_full`] panics on zero): the timer always runs.
     pub reassembly_timeout: Duration,
     /// Fault plan for the host bus (stalls / aborted bursts).
     pub bus_faults: BusFaultPlan,
@@ -323,8 +323,6 @@ pub struct RxReport {
     pub fifo_peak: u64,
     /// Peak reassembly buffers in use.
     pub pool_peak: u64,
-    /// Mean reassembly buffers in use (time-weighted).
-    pub pool_mean: f64,
     /// Packet latency (first cell arrival → completion), ps: exact
     /// count, mean, min and max, plus the always-on log₂
     /// p50/p90/p99/p999 bands.
@@ -399,6 +397,10 @@ pub fn run_rx_full(
     tracer: &mut dyn Tracer,
     profiler: &mut dyn Profiler,
 ) -> RxReport {
+    assert!(
+        cfg.reassembly_timeout > Duration::ZERO,
+        "reassembly timeout must be positive"
+    );
     // A faultless link uses the workload as given: no copy, no RNG.
     let offered = wl;
     let faulted;
@@ -467,7 +469,6 @@ pub fn run_rx_full(
     // End of *productive* simulated activity (expiry ticks excluded, so
     // a no-op timer never stretches utilization or goodput spans).
     let mut last_event = Time::ZERO;
-    let expiry_on = cfg.reassembly_timeout > Duration::ZERO;
     let mut tick_pending = false;
 
     let cell_time = engine.task_time(TaskKind::RxHec)
@@ -568,7 +569,7 @@ pub fn run_rx_full(
                     );
                 }
                 let arrival = fate.arrive(now, a.pkt, i as u64, a.corrupted, tracer);
-                if arrival.starts_frame() && expiry_on && !tick_pending {
+                if arrival.starts_frame() && !tick_pending {
                     q.schedule_in(cfg.reassembly_timeout, REv::ExpiryTick);
                     tick_pending = true;
                 }
@@ -736,9 +737,9 @@ pub fn run_rx_full(
     }
 
     let end = finished_at.max(last_event);
-    // With the expiry timer disabled, frames stalled mid-reassembly are
-    // still open when the queue drains; account them so the ledger
-    // always reconciles.
+    // The expiry timer purges every frame that stalls mid-reassembly
+    // before the queue drains; `drain` settles whatever is still open
+    // at the run's end, so the ledger always reconciles.
     fate.drain(end, profiler);
     let mut failed_packets = fate.failed_frames();
     if link.dropped > 0 {
@@ -773,7 +774,6 @@ pub fn run_rx_full(
         bus_util: bus.utilization(end),
         fifo_peak,
         pool_peak: fate.pool().peak_in_use(),
-        pool_mean: fate.pool().mean_in_use(end),
         latency_hist,
         vc_cells,
         finished_at,
@@ -937,27 +937,14 @@ mod tests {
     }
 
     #[test]
-    fn expiry_disabled_still_reconciles() {
-        let mut cfg = RxConfig::paper(LineRate::Oc12);
-        cfg.reassembly_timeout = Duration::ZERO;
-        let pkts = vec![RxPktMeta {
-            conn: 0,
-            len: 240,
-            cells: 6,
-        }];
-        let arrivals = (0..5usize)
-            .map(|c| CellArrival {
-                at: Time::from_ns(708 * (c as u64 + 1)),
-                pkt: 0,
-                is_last: false,
-                corrupted: false,
-            })
-            .collect();
-        let wl = RxWorkload { arrivals, pkts };
-        let r = run_rx(&cfg, &wl);
-        assert_eq!(r.failed_packets, 1);
-        assert_eq!(r.ledger.discarded_abandoned, 5);
-        assert!(r.ledger.reconciles(), "{:?}", r.ledger);
+    #[should_panic(expected = "reassembly timeout must be positive")]
+    fn zero_reassembly_timeout_is_rejected() {
+        let cfg = RxConfig {
+            reassembly_timeout: Duration::ZERO,
+            ..RxConfig::paper(LineRate::Oc12)
+        };
+        let wl = RxWorkload::uniform(LineRate::Oc12, AalType::Aal5, 1, 1, 240, 0.5);
+        run_rx(&cfg, &wl);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! host memory at A to host memory at B, shared by every injection
 //! point in the workspace:
 //!
-//! * the **link** (`hni_sim::Link`) consumes a [`FaultPlan`] directly —
-//!   loss, bit corruption, duplication, bounded reordering, with i.i.d.
-//!   or bursty Gilbert–Elliott processes;
+//! * the **line**: a [`FaultPlan`] — loss, bit corruption, duplication,
+//!   bounded reordering, with i.i.d. or bursty Gilbert–Elliott
+//!   processes — bound to a [`FaultInjector`] yields one [`UnitFate`]
+//!   per cell, SONET frame or byte stream, and the caller applies its
+//!   flipped bits with `hni_sim::link::apply_bit_errors`;
 //! * the **bus** (`hni_core::Bus`) consumes a [`BusFaultPlan`] —
 //!   arbitration stalls and aborted-then-retried bursts;
 //! * the **NIC ingress** (`hni_core::Nic::inject_cell_faulted`) runs
@@ -16,11 +18,11 @@
 //!   a plan and reconciles every injected cell to exactly one drop or
 //!   delivery reason.
 //!
-//! The primitive types live in `hni_sim::faults` (so the bottom-layer
-//! link can use them); this crate re-exports them and adds the policy
-//! surface: named [`scenarios`] with literature-grounded parameters,
-//! and the [`chaos`] generator that turns a bare seed into a random
-//! but *bounded* plan — the fuel for the chaos invariant tests.
+//! The primitive types live in `hni_sim::faults` (the bottom layer, so
+//! every crate above can use them); this crate re-exports them and adds
+//! the policy surface: named [`scenarios`] with literature-grounded
+//! parameters, and the [`chaos`] generator that turns a bare seed into
+//! a random but *bounded* plan — the fuel for the chaos invariant tests.
 //!
 //! Everything here is deterministic per seed. No wall clock, no OS
 //! entropy, no global state.

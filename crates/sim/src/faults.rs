@@ -498,23 +498,28 @@ mod tests {
 
     #[test]
     fn iid_ber_statistical() {
+        // Cells, and whole OC-3 SONET frames (2,430 octets): line damage
+        // is drawn over frames and byte streams as well as cells. Both
+        // sizes cover ~21M bits.
         let ber = 1e-3;
-        let mut inj = FaultInjector::seeded(FaultPlan::ber(ber), 13);
-        let bits = 424u64;
-        let n = 50_000u64;
-        let mut flips = 0u64;
-        for _ in 0..n {
-            let f = inj.fate(bits);
-            for &b in &f.flipped_bits {
-                assert!(b < bits);
+        for (bits, n) in [(424u64, 50_000u64), (19_440, 1_100)] {
+            let mut inj = FaultInjector::seeded(FaultPlan::ber(ber), 13);
+            let mut flips = 0u64;
+            for _ in 0..n {
+                let f = inj.fate(bits);
+                assert!(f.flipped_bits.iter().all(|&b| b < bits), "{bits}");
+                assert!(
+                    f.flipped_bits.windows(2).all(|w| w[0] < w[1]),
+                    "{bits}-bit unit: flip positions must strictly increase"
+                );
+                flips += f.flipped_bits.len() as u64;
             }
-            flips += f.flipped_bits.len() as u64;
+            let observed = flips as f64 / (n * bits) as f64;
+            assert!(
+                (observed - ber).abs() / ber < 0.1,
+                "{bits}-bit units: observed BER {observed}"
+            );
         }
-        let observed = flips as f64 / (n * bits) as f64;
-        assert!(
-            (observed - ber).abs() / ber < 0.1,
-            "observed BER {observed}"
-        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! This crate is the simulation kernel underneath the whole `hni` workspace.
 //! It deliberately contains **no networking knowledge**: just time, a
 //! deterministic event queue, a deterministic PRNG, statistics collectors,
-//! occupancy accounting, and a lossy/erroring link model that higher layers
-//! parameterise with their own payload types.
+//! occupancy accounting, and the seeded fault plans and delay lines every
+//! injection point in the workspace draws from. A fault arrives as a
+//! unit's fate; higher layers own the bytes and apply it.
 //!
 //! ## Design rules
 //!
@@ -40,7 +41,6 @@ pub use event::EventQueue;
 pub use faults::{
     BusFaultPlan, DelayLine, DelayModel, FaultInjector, FaultPlan, FaultProcess, GeParams, UnitFate,
 };
-pub use link::{Link, LinkDelivery};
 pub use rng::{Rng, Zipf};
 pub use stats::{Histogram, OccupancyTracker, Pcts, Summary, HIST_BUCKETS};
 pub use time::{Duration, Time};

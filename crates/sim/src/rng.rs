@@ -110,13 +110,15 @@ impl Rng {
 
     /// Sample a geometric "number of successes before failure"-style gap:
     /// the number of Bernoulli(p) trials *until and including* the first
-    /// success, i.e. a value in `1..`. Used to skip ahead over bit positions
-    /// when injecting rare bit errors instead of rolling per bit.
+    /// success, i.e. a value in `1..`. [`crate::FaultInjector::fate`]
+    /// skips ahead over bit positions with it when injecting rare bit
+    /// errors instead of rolling per bit; crate-private so that every
+    /// bit error in the workspace comes from that one sampler.
     ///
     /// For `p` very small this is exponentially faster than per-trial
     /// sampling and produces the same distribution.
     #[inline]
-    pub fn geometric(&mut self, p: f64) -> u64 {
+    pub(crate) fn geometric(&mut self, p: f64) -> u64 {
         assert!(p > 0.0 && p <= 1.0, "geometric needs p in (0,1]");
         if p >= 1.0 {
             return 1;

@@ -5,14 +5,16 @@
 //! ```
 //!
 //! Pushes traffic through the byte-exact path while injecting (a) whole
-//! cell loss and (b) line bit errors, then prints what the HEC machine,
-//! the delineator, the SONET parity bytes and the AAL reassembler each
-//! saw — the full error-detection stack doing its job.
+//! cell loss at the NIC's faulted ingress and (b) line bit errors drawn
+//! over each SONET frame, then prints what the HEC machine, the
+//! delineator, the SONET parity bytes and the AAL reassembler each saw —
+//! the full error-detection stack doing its job. Both come from one
+//! sampler, `FaultInjector::fate`.
 
 use hni_atm::VcId;
 use hni_core::{Nic, NicConfig, NicEvent};
 use hni_faults::scenarios;
-use hni_sim::{link::apply_bit_errors, FaultPlan, Link, LinkDelivery, Rng, Time};
+use hni_sim::{link::apply_bit_errors, FaultInjector, FaultPlan, Time};
 use hni_sonet::LineRate;
 
 fn main() {
@@ -42,17 +44,13 @@ fn cell_loss_run(title: &str, plan: FaultPlan) {
         b.receive_line_octets(&f, Time::ZERO);
     }
 
-    let mut link = Link::new(1e9, hni_sim::Duration::ZERO, plan, Rng::new(7));
+    let mut inj = FaultInjector::seeded(plan, 7);
     let n_frames = 200;
     let len = 4096;
-    let mut t = Time::ZERO;
     for i in 0..n_frames {
         let payload: Vec<u8> = (0..len).map(|j| ((i + j) % 256) as u8).collect();
         for cell in hni_aal::aal5::segment(vc, &payload, 0) {
-            if !matches!(link.send(t, 424), LinkDelivery::Lost) {
-                a.inject_cell(&cell);
-            }
-            t = link.next_free();
+            a.inject_cell_faulted(&cell, &mut inj);
         }
     }
     let mut ok = 0;
@@ -68,7 +66,7 @@ fn cell_loss_run(title: &str, plan: FaultPlan) {
             }
         }
     }
-    println!("  cells lost on the link : {}", link.lost_units());
+    println!("  cells lost on the link : {}", inj.lost());
     println!("  frames delivered intact: {ok}/{n_frames}");
     let mut counts = std::collections::BTreeMap::new();
     for e in &errors {
@@ -94,8 +92,7 @@ fn bit_error_run() {
     a.open_vc(vc).unwrap();
     b.open_vc(vc).unwrap();
 
-    let mut rng = Rng::new(99);
-    let ber = 1e-5;
+    let mut line = FaultInjector::seeded(FaultPlan::ber(1e-5), 99);
     let n_frames = 150;
     let len = 9180;
     let mut ok = 0;
@@ -109,19 +106,9 @@ fn bit_error_run() {
         while a.tx_backlog_cells() > 0 {
             let mut frame = a.frame_tick();
             frames_sent += 1;
-            // i.i.d. bit errors at the given BER.
-            let bits = frame.len() as u64 * 8;
-            let mut pos = 0u64;
-            let mut flips = Vec::new();
-            loop {
-                let gap = rng.geometric(ber);
-                pos += gap;
-                if pos > bits {
-                    break;
-                }
-                flips.push(pos - 1);
-            }
-            apply_bit_errors(&mut frame, &flips);
+            // i.i.d. bit errors: one fate over the whole frame.
+            let fate = line.fate(frame.len() as u64 * 8);
+            apply_bit_errors(&mut frame, &fate.flipped_bits);
             b.receive_line_octets(&frame, Time::ZERO);
         }
         while let Some(ev) = b.poll() {

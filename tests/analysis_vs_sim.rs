@@ -81,7 +81,7 @@ fn rx_sim_tracks_analysis_for_engine_bound_configs() {
 #[test]
 fn loss_model_matches_functional_path_grid() {
     // Survival probabilities from the analytic model vs frames pushed
-    // through real segmentation/reassembly over a lossy link.
+    // through real segmentation/reassembly past a lossy NIC ingress.
     for (loss, len, tol) in [(1e-3, 9180, 0.15), (5e-3, 2048, 0.12)] {
         let model = goodput_under_loss(LineRate::Oc12, AalType::Aal5, len, loss).frame_survival;
         let measured = functional_survival(AalType::Aal5, len, loss, 120, 31);

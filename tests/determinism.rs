@@ -7,7 +7,7 @@ use hni_atm::VcId;
 use hni_bench::experiments::{rf7_delineation, rt4_pacing};
 use hni_core::rxsim::{run_rx, RxConfig, RxWorkload};
 use hni_core::txsim::{greedy_workload, run_tx, TxConfig};
-use hni_sim::{FaultPlan, Link, LinkDelivery, Rng, Time};
+use hni_sim::{FaultInjector, FaultPlan, Time};
 use hni_sonet::LineRate;
 
 #[test]
@@ -36,26 +36,10 @@ fn rx_pipeline_deterministic() {
 }
 
 #[test]
-fn lossy_link_deterministic_per_seed() {
+fn lossy_injector_deterministic_per_seed() {
     let run = |seed: u64| {
-        let mut link = Link::new(
-            622.08e6,
-            hni_sim::Duration::from_us(25),
-            FaultPlan::iid(0.01, 1e-6),
-            Rng::new(seed),
-        );
-        let mut t = Time::ZERO;
-        let mut outcomes = Vec::new();
-        for _ in 0..2000 {
-            outcomes.push(match link.send(t, 424) {
-                LinkDelivery::Delivered {
-                    at, flipped_bits, ..
-                } => (true, at.as_ps(), flipped_bits),
-                LinkDelivery::Lost => (false, 0, vec![]),
-            });
-            t = link.next_free();
-        }
-        outcomes
+        let mut inj = FaultInjector::seeded(FaultPlan::iid(0.01, 1e-6), seed);
+        (0..2000).map(|_| inj.fate(424)).collect::<Vec<_>>()
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8), "different seeds must differ");

@@ -1,8 +1,9 @@
 //! Golden proofs for the fault-injection layer:
 //!
 //! 1. **Faultless means free** — with `FaultPlan::NONE` every injection
-//!    point (link, bus, receive pipeline, end-to-end composition) makes
-//!    *zero* RNG draws: the clean path never pays for the machinery.
+//!    point (the fault injector, bus, receive pipeline, end-to-end
+//!    composition) makes *zero* RNG draws: the clean path never pays for
+//!    the machinery.
 //! 2. **Faultless means identical** — a `NONE`-plan run produces
 //!    byte-identical reports whatever its link seed, so enabling the
 //!    fault layer cannot perturb any published number.
@@ -15,7 +16,7 @@ use hni_core::e2esim::run_e2e;
 use hni_core::rxsim::{run_rx, RxConfig, RxWorkload};
 use hni_core::txsim::{greedy_workload, TxConfig};
 use hni_core::{Bus, BusConfig};
-use hni_sim::{BusFaultPlan, Duration, FaultInjector, FaultPlan, Link, LinkDelivery, Rng, Time};
+use hni_sim::{BusFaultPlan, Duration, FaultInjector, FaultPlan, Time};
 use hni_sonet::LineRate;
 use hni_telemetry::{Component, NullProfiler};
 
@@ -29,23 +30,6 @@ fn faultless_injector_never_touches_the_rng() {
         assert!(fate.flipped_bits.is_empty());
     }
     assert_eq!(inj.rng_draws(), 0);
-}
-
-#[test]
-fn faultless_link_never_touches_the_rng() {
-    let mut link = Link::new(
-        622.08e6,
-        Duration::from_us(25),
-        FaultPlan::NONE,
-        Rng::new(99),
-    );
-    let mut t = Time::ZERO;
-    for _ in 0..5_000 {
-        assert!(matches!(link.send(t, 424), LinkDelivery::Delivered { .. }));
-        t = link.next_free();
-    }
-    assert_eq!(link.rng_draws(), 0);
-    assert_eq!(link.lost_units(), 0);
 }
 
 #[test]

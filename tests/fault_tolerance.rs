@@ -4,7 +4,7 @@
 use hni_aal::AalType;
 use hni_atm::VcId;
 use hni_core::{Nic, NicConfig, NicEvent};
-use hni_sim::{link::apply_bit_errors, Rng, Time};
+use hni_sim::{link::apply_bit_errors, FaultInjector, FaultPlan, Rng, Time};
 use hni_sonet::LineRate;
 
 fn pair(aal: AalType) -> (Nic, Nic, VcId) {
@@ -22,22 +22,10 @@ fn pair(aal: AalType) -> (Nic, Nic, VcId) {
     (a, b, vc)
 }
 
-/// Flip bits at `ber` over a frame, deterministically per `rng`.
-fn damage(frame: &mut [u8], ber: f64, rng: &mut Rng) {
-    if ber <= 0.0 {
-        return;
-    }
-    let bits = frame.len() as u64 * 8;
-    let mut pos = 0u64;
-    let mut flips = Vec::new();
-    loop {
-        pos += rng.geometric(ber);
-        if pos > bits {
-            break;
-        }
-        flips.push(pos - 1);
-    }
-    apply_bit_errors(frame, &flips);
+/// Flip bits over a frame: one fate of the `line`'s plan per frame.
+fn damage(frame: &mut [u8], line: &mut FaultInjector) {
+    let fate = line.fate(frame.len() as u64 * 8);
+    apply_bit_errors(frame, &fate.flipped_bits);
 }
 
 #[test]
@@ -52,7 +40,7 @@ fn no_corrupt_delivery_under_bit_errors_aal34() {
 
 fn no_corrupt_delivery(aal: AalType, ber: f64) {
     let (mut a, mut b, vc) = pair(aal);
-    let mut rng = Rng::new(404);
+    let mut line = FaultInjector::seeded(FaultPlan::ber(ber), 404);
     let mut sent = Vec::new();
     for i in 0..100u32 {
         let payload: Vec<u8> = (0..3000).map(|j| ((i + j) % 256) as u8).collect();
@@ -63,7 +51,7 @@ fn no_corrupt_delivery(aal: AalType, ber: f64) {
     let mut failures = 0;
     while a.tx_backlog_cells() > 0 {
         let mut f = a.frame_tick();
-        damage(&mut f, ber, &mut rng);
+        damage(&mut f, &mut line);
         b.receive_line_octets(&f, Time::ZERO);
         while let Some(e) = b.poll() {
             match e {
@@ -157,13 +145,13 @@ fn delineation_recovers_after_line_hit() {
 #[test]
 fn sonet_parity_counts_scale_with_ber() {
     let (mut a, mut b, vc) = pair(AalType::Aal5);
-    let mut rng = Rng::new(5);
+    let mut line = FaultInjector::seeded(FaultPlan::ber(1e-5), 5);
     for i in 0..50u32 {
         a.send(vc, vec![i as u8; 2000], Time::ZERO).unwrap();
     }
     while a.tx_backlog_cells() > 0 {
         let mut f = a.frame_tick();
-        damage(&mut f, 1e-5, &mut rng);
+        damage(&mut f, &mut line);
         b.receive_line_octets(&f, Time::ZERO);
         while b.poll().is_some() {}
     }

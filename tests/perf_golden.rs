@@ -6,9 +6,9 @@
 //!    allocating `Vec<Cell>` path, for AAL5 and AAL3/4 alike.
 //! 2. `par_sweep` produces byte-identical results at every worker
 //!    count — the parallel report is the serial report.
-//! 3. The steady-state segmentation → link → reassembly loop performs
-//!    zero heap allocations and zero slab growth after warm-up,
-//!    proven by a counting global allocator.
+//! 3. The steady-state segmentation → fault step → reassembly loop
+//!    performs zero heap allocations and zero slab growth after
+//!    warm-up, proven by a counting global allocator.
 //! 4. The SONET transmission-convergence path allocates only the frames
 //!    its signatures hand over: one per frame built, one per frame the
 //!    aligner slices out.
@@ -26,7 +26,7 @@ use hni_atm::{CellSlab, VcId};
 use hni_bench::experiments::{rf1_tx_throughput, rt3_memory, rt4_pacing};
 use hni_bench::par_sweep_with_jobs;
 use hni_core::TxReport;
-use hni_sim::{Duration, FaultPlan, Link, LinkDelivery, Rng, Time};
+use hni_sim::{Duration, FaultInjector, FaultPlan, Time, UnitFate};
 use hni_telemetry::{NullProfiler, NullTracer};
 
 #[path = "support/alloc_counter.rs"]
@@ -206,24 +206,24 @@ fn steady_state_e2e_zero_allocations_zero_slab_growth() {
 
     let mut slab = CellSlab::with_capacity(burst_cells);
     let mut refs: Vec<_> = Vec::with_capacity(burst_cells);
-    let mut deliveries: Vec<LinkDelivery> = Vec::with_capacity(burst_cells);
+    let mut fates: Vec<UnitFate> = Vec::with_capacity(burst_cells);
     let mut done = Vec::with_capacity(n_sdus);
     let mut reasm = Aal5Reassembler::new(65_535, Duration::from_ms(100));
-    let mut link = Link::new(622e6, Duration::from_us(10), FaultPlan::NONE, Rng::new(1));
+    let mut inj = FaultInjector::seeded(FaultPlan::NONE, 1);
 
     let round = |slab: &mut CellSlab,
                  refs: &mut Vec<hni_atm::CellRef>,
-                 deliveries: &mut Vec<LinkDelivery>,
+                 fates: &mut Vec<UnitFate>,
                  done: &mut Vec<_>,
                  reasm: &mut Aal5Reassembler,
-                 link: &mut Link| {
+                 inj: &mut FaultInjector| {
         refs.clear();
         for sdu in &sdus {
             aal5::segment_into(vc, sdu, 0, slab, refs);
         }
-        deliveries.clear();
+        fates.clear();
         for _ in 0..refs.len() {
-            deliveries.push(link.send(Time::ZERO, 424));
+            fates.push(inj.fate(424));
         }
         done.clear();
         for &r in refs.iter() {
@@ -240,15 +240,10 @@ fn steady_state_e2e_zero_allocations_zero_slab_growth() {
     };
 
     // Warm-up: fills the slab free list, the reassembler's spare-buffer
-    // pool, the link delivery vec and every scratch Vec's capacity.
+    // pool, the fate vec and every scratch Vec's capacity.
     for _ in 0..3 {
         let d = round(
-            &mut slab,
-            &mut refs,
-            &mut deliveries,
-            &mut done,
-            &mut reasm,
-            &mut link,
+            &mut slab, &mut refs, &mut fates, &mut done, &mut reasm, &mut inj,
         );
         assert_eq!(d, n_sdus);
     }
@@ -260,12 +255,7 @@ fn steady_state_e2e_zero_allocations_zero_slab_growth() {
     let (_, n) = allocs_during(|| {
         for _ in 0..50 {
             let d = round(
-                &mut slab,
-                &mut refs,
-                &mut deliveries,
-                &mut done,
-                &mut reasm,
-                &mut link,
+                &mut slab, &mut refs, &mut fates, &mut done, &mut reasm, &mut inj,
             );
             assert_eq!(d, n_sdus);
         }
